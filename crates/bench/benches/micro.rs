@@ -12,9 +12,12 @@ use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::sample::{binomial, sample_slots};
-use rcb_sim::duel::{run_duel, DuelConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
+use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 use std::hint::black_box;
 
 fn bench_resolve_slot(c: &mut Criterion) {
@@ -57,15 +60,12 @@ fn bench_duel(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/duel");
     group.bench_function("unjammed_full_run_eps0.01", |b| {
         let profile = Fig1Profile::with_start_epoch(0.01, 8);
-        let mut rng = RcbRng::new(3);
+        let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 3);
+        let mut seed = 3;
         b.iter(|| {
-            let mut adv = NoJamRep;
-            black_box(run_duel(
-                &profile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-            ))
+            session.rearm(seed);
+            seed += 1;
+            black_box(session.run(&mut NoJamRep, &Deadline::NONE))
         });
     });
     group.finish();
@@ -77,16 +77,14 @@ fn bench_broadcast(c: &mut Criterion) {
     for n in [8usize, 64] {
         group.bench_with_input(BenchmarkId::new("unjammed_full_run", n), &n, |b, &n| {
             let params = OneToNParams::practical();
-            let mut rng = RcbRng::new(4);
+            let config = FastConfig::default();
+            let mut session =
+                BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), 4);
+            let mut seed = 4;
             b.iter(|| {
-                let mut adv = NoJamRep;
-                black_box(run_broadcast(
-                    &params,
-                    n,
-                    &mut adv,
-                    &mut rng,
-                    FastConfig::default(),
-                ))
+                session.rearm(seed);
+                seed += 1;
+                black_box(session.run(&mut NoJamRep, &Deadline::NONE))
             });
         });
     }
@@ -103,10 +101,20 @@ fn bench_runner(c: &mut Criterion) {
             |b, &threads| {
                 let profile = Fig1Profile::with_start_epoch(0.01, 8);
                 b.iter(|| {
-                    black_box(run_trials(100, 9, Parallelism::Fixed(threads), |_, rng| {
-                        let mut adv = NoJamRep;
-                        run_duel(&profile, &mut adv, rng, DuelConfig::default())
-                    }))
+                    black_box(run_trials(
+                        100,
+                        9,
+                        Parallelism::Fixed(threads),
+                        |_, seed| {
+                            DuelSession::new(
+                                profile,
+                                DuelConfig::default(),
+                                FaultPlan::none(),
+                                seed,
+                            )
+                            .run(&mut NoJamRep, &Deadline::NONE)
+                        },
+                    ))
                 });
             },
         );

@@ -9,9 +9,9 @@
 //! the practical preset.
 
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
-use rcb_mathkit::rng::RcbRng;
-use rcb_sim::fast::BroadcastObserver;
-use rcb_sim::scenario::{AdversarySpec, ScenarioSpec, Workload};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
+use rcb_sim::faults::FaultPlan;
+use rcb_sim::scenario::AdversarySpec;
 use std::time::Instant;
 
 #[derive(Default)]
@@ -50,7 +50,6 @@ impl BroadcastObserver for Probe {
 
 fn one(params: &OneToNParams, n: usize, budget: u64, seed: u64) {
     let mut probe = Probe::new();
-    let mut rng = RcbRng::new(seed);
     let adversary = if budget == 0 {
         AdversarySpec::NoJam
     } else {
@@ -59,14 +58,10 @@ fn one(params: &OneToNParams, n: usize, budget: u64, seed: u64) {
             fraction: 1.0,
         }
     };
-    let mut spec = ScenarioSpec::broadcast_with(*params, n)
-        .with_adversary(adversary)
-        .with_seed(seed);
-    if let Workload::Broadcast(w) = &mut spec.workload {
-        w.max_epoch = 26;
-    }
+    let config = FastConfig { max_epoch: 26 };
+    let mut session = BroadcastSession::new(*params, n, vec![0], config, FaultPlan::none(), seed);
     let t0 = Instant::now();
-    let (out, err) = spec.run_observed(&mut rng, &mut probe);
+    let (out, err) = session.run_observed(adversary.build(seed).as_mut(), &mut probe);
     let dt = t0.elapsed().as_secs_f64();
     println!(
         "n={n:>4} T={:>8} | epoch {:>2} (ideal {:>2}) | informed {:>4}/{n:<4} safety {:>3} | \

@@ -64,8 +64,10 @@ impl Args {
                 let (key, value) = match stripped.split_once('=') {
                     Some((k, v)) => (k.to_string(), v.to_string()),
                     None => {
+                        // The next `--flag` is never a value: `--strict
+                        // --out X` is a missing value, not `strict = "--out"`.
                         let value = iter
-                            .next()
+                            .next_if(|v| !v.starts_with("--"))
                             .ok_or_else(|| format!("option --{stripped} needs a value"))?;
                         (stripped.to_string(), value)
                     }
@@ -981,6 +983,13 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         assert!(parse(&["duel", "--budget"]).is_err(), "missing value");
+        // The next flag is not a value.
+        assert_eq!(
+            parse(&["perf", "--strict", "--out", "X"]).err().as_deref(),
+            Some("option --strict needs a value")
+        );
+        let a = parse(&["perf", "--out", "-", "--seed", "-1"]).expect("dash values");
+        assert_eq!(a.get_str("out", ""), "-");
         assert!(parse(&["duel", "--q", "1", "--q", "2"]).is_err(), "dup");
         // Extra positionals parse (the `scenario` command needs them) but
         // every other command rejects them at dispatch.

@@ -5,7 +5,7 @@
 //! re-stamps the adversary budget and the per-cell seed for each point.
 //! All per-budget specs are built up front and executed through the
 //! trial-granular work-stealing executor
-//! ([`run_specs_ctl`](rcb_sim::executor::run_specs_ctl)), so cores stay
+//! ([`run_specs_ctl`]), so cores stay
 //! busy across cell boundaries; the per-cell seed folds (and therefore
 //! every trial's RNG stream) are unchanged from the historical serial
 //! loop. Crash safety rides on the environment — [`SWEEP_JOURNAL_DIR_ENV`]
@@ -73,6 +73,15 @@ pub struct DuelSweepPoint {
     /// every statistic above and must be surfaced in the report.
     pub truncated: u64,
     pub outcomes: Vec<DuelOutcome>,
+}
+
+/// A tolerant run's `(outcome, error)` pair (what a session run returns)
+/// as a checked result: an engine cap becomes the `Err`.
+pub(crate) fn checked<T>((outcome, err): (T, Option<SimError>)) -> Result<T, SimError> {
+    match err {
+        None => Ok(outcome),
+        Some(e) => Err(e),
+    }
 }
 
 /// Splits checked-trial results into completed outcomes and the number of

@@ -12,8 +12,7 @@ use rcb_adversary::rep_strategies::{NoJamRep, SuffixFractionRep};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::node::Status;
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
-use rcb_mathkit::rng::RcbRng;
-use rcb_sim::fast::{run_broadcast_checked, BroadcastObserver, FastConfig};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 
 /// (epoch, rep, S_min, S_max, uninformed, informed, helpers, terminated).
@@ -74,19 +73,20 @@ pub fn run(scale: &Scale) -> String {
 
     // Clean run: divergence and helper-wave structure.
     let mut probe = DynamicsProbe::default();
-    let mut rng = RcbRng::new(scale.seed ^ 0xE10);
-    let mut adv = NoJamRep;
-    let outcome = run_broadcast_checked(
-        &params,
+    let config = FastConfig::default();
+    let mut session = BroadcastSession::new(
+        params,
         n,
-        &[0],
-        &mut adv,
-        &mut rng,
-        FastConfig::default(),
-        &mut probe,
-        &FaultPlan::none(),
-    )
-    .expect("unjammed instrumented run must terminate before the epoch cap");
+        vec![0],
+        config,
+        FaultPlan::none(),
+        scale.seed ^ 0xE10,
+    );
+    let (outcome, err) = session.run_observed(&mut NoJamRep, &mut probe);
+    assert!(
+        err.is_none(),
+        "unjammed instrumented run must terminate before the epoch cap: {err:?}"
+    );
 
     let mut table = TableBuilder::new(vec![
         "epoch", "rep", "S min", "S max", "uninf", "inf", "helper", "term",
@@ -124,25 +124,23 @@ pub fn run(scale: &Scale) -> String {
 
     // Half-blocked run: S_V must stay frozen (Lemma 8 contrapositive).
     let mut probe2 = DynamicsProbe::default();
-    let mut rng2 = RcbRng::new(scale.seed ^ 0x1E10);
-    let mut adv2 = SuffixFractionRep::new(0.55);
     let first_epoch_reps = params.reps(params.first_epoch) as usize;
     // This run is *expected* to hit the epoch cap — the probe only needs
     // the first epoch — so the typed truncation error is acknowledged
     // explicitly instead of being swallowed.
-    let capped = run_broadcast_checked(
-        &params,
+    let config = FastConfig {
+        max_epoch: params.first_epoch + 1,
+    };
+    let mut session = BroadcastSession::new(
+        params,
         n,
-        &[0],
-        &mut adv2,
-        &mut rng2,
-        FastConfig {
-            max_epoch: params.first_epoch + 1,
-        },
-        &mut probe2,
-        &FaultPlan::none(),
-    )
-    .is_err();
+        vec![0],
+        config,
+        FaultPlan::none(),
+        scale.seed ^ 0x1E10,
+    );
+    let (_, err) = session.run_observed(&mut SuffixFractionRep::new(0.55), &mut probe2);
+    let capped = err.is_some();
     let start_sv = probe2.s_v_by_rep.first().copied().unwrap_or(0.0);
     let end_first_epoch = probe2
         .s_v_by_rep

@@ -24,7 +24,7 @@
 //! suffix-shaped except the diffuse random jammer, which behaves like its
 //! equal-fraction suffix cousin on average.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{checked, split_truncated};
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, RandomRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -32,10 +32,12 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
-use rcb_sim::fast::{run_broadcast_checked, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 
 #[derive(Clone, Copy)]
 enum Strategy {
@@ -93,15 +95,11 @@ pub fn run(scale: &Scale) -> String {
     for strategy in strategies {
         // 1-to-1.
         let duel_results = run_trials(duel_trials, scale.seed ^ 0xA11, Parallelism::Auto, {
-            move |i, rng| {
+            move |i, seed| {
                 let mut adv = strategy.build(budget, i ^ 0xE11);
-                run_duel_checked(
-                    &profile,
-                    adv.as_mut(),
-                    rng,
-                    DuelConfig::default(),
-                    &FaultPlan::none(),
-                )
+                let config = DuelConfig::default();
+                let mut session = DuelSession::new(profile, config, FaultPlan::none(), seed);
+                checked(session.run(adv.as_mut(), &Deadline::NONE))
             }
         });
         let (duel_outcomes, duel_trunc) = split_truncated(duel_results);
@@ -119,18 +117,12 @@ pub fn run(scale: &Scale) -> String {
 
         // 1-to-n.
         let bc_results = run_trials(bc_trials, scale.seed ^ 0xB11, Parallelism::Auto, {
-            move |i, rng| {
+            move |i, seed| {
                 let mut adv = strategy.build(budget, i ^ 0xB11);
-                run_broadcast_checked(
-                    &params,
-                    n,
-                    &[0],
-                    adv.as_mut(),
-                    rng,
-                    FastConfig::default(),
-                    &mut (),
-                    &FaultPlan::none(),
-                )
+                let config = FastConfig::default();
+                let mut session =
+                    BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed);
+                checked(session.run(adv.as_mut(), &Deadline::NONE))
             }
         });
         let (bc_outcomes, bc_trunc) = split_truncated(bc_results);

@@ -8,7 +8,7 @@
 //! the advantage disappears entirely: the adversary's budget, not the
 //! seeding, dictates the timeline.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{checked, split_truncated};
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -16,7 +16,7 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNNode;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::fast::{run_broadcast_checked, BroadcastObserver, FastConfig};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -43,24 +43,17 @@ fn sweep(
     seed: u64,
 ) -> (f64, f64, f64, f64, u64) {
     let source_ids: Vec<usize> = (0..sources).map(|k| k * n / sources).collect();
-    let results = run_trials(trials, seed, Parallelism::Auto, move |_, rng| {
+    let results = run_trials(trials, seed, Parallelism::Auto, move |_, seed| {
         let mut adv: Box<dyn RepetitionAdversary> = if budget == 0 {
             Box::new(NoJamRep)
         } else {
             Box::new(BudgetedRepBlocker::new(budget, 1.0))
         };
         let mut probe = DisseminationProbe::default();
-        run_broadcast_checked(
-            params,
-            n,
-            &source_ids,
-            adv.as_mut(),
-            rng,
-            FastConfig::default(),
-            &mut probe,
-            &FaultPlan::none(),
-        )
-        .map(|o| (o, probe.complete_at))
+        let (config, sources) = (FastConfig::default(), source_ids.clone());
+        let mut session =
+            BroadcastSession::new(*params, n, sources, config, FaultPlan::none(), seed);
+        checked(session.run_observed(adv.as_mut(), &mut probe)).map(|o| (o, probe.complete_at))
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(

@@ -9,16 +9,18 @@
 //! static arms it is choosing between; its arm statistics show where it
 //! converged.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{checked, split_truncated};
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BanditBlocker, BudgetedRepBlocker};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{DuelConfig, DuelSession};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 
 const ARMS: [f64; 4] = [0.0625, 0.25, 0.55, 1.0];
 
@@ -37,15 +39,11 @@ pub fn run(scale: &Scale) -> String {
             trials,
             scale.seed ^ 0xE13,
             Parallelism::Auto,
-            move |_, rng| {
+            move |_, seed| {
                 let mut adv = BudgetedRepBlocker::new(budget, q);
-                run_duel_checked(
-                    &profile,
-                    &mut adv,
-                    rng,
-                    DuelConfig::default(),
-                    &FaultPlan::none(),
-                )
+                let config = DuelConfig::default();
+                let mut session = DuelSession::new(profile, config, FaultPlan::none(), seed);
+                checked(session.run(&mut adv, &Deadline::NONE))
             },
         );
         let (outcomes, trunc) = split_truncated(results);
@@ -71,8 +69,10 @@ pub fn run(scale: &Scale) -> String {
     // couple of epochs (a quiet phase lets the victim finish), so within-
     // run learning has almost no sample budget. One persistent bandit
     // carries its arm statistics over `trials` sequential executions,
-    // refilled with the same jamming budget each time.
+    // refilled with the same jamming budget each time; one duel session is
+    // re-armed at each run's seed.
     let seeds = SeedSequence::new(scale.seed ^ 0x1E13);
+    let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 0);
     let mut cost = RunningStats::new();
     let mut late_cost = RunningStats::new();
     let mut spend = RunningStats::new();
@@ -80,15 +80,9 @@ pub fn run(scale: &Scale) -> String {
     let mut adv = BanditBlocker::new(ARMS.to_vec(), budget, 0xBAD17);
     let mut bandit_runs = 0u64;
     for t in 0..trials {
-        let mut rng = seeds.rng(t);
+        session.rearm(seeds.child(t));
         adv.refill(budget);
-        let result = run_duel_checked(
-            &profile,
-            &mut adv,
-            &mut rng,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-        );
+        let result = checked(session.run(&mut adv, &Deadline::NONE));
         adv.settle_now();
         let o = match result {
             Ok(o) => o,

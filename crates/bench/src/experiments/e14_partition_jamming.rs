@@ -21,7 +21,8 @@ use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::exact::{run_exact_checked, ExactConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::exact::{run_exact, ExactConfig};
 use rcb_sim::faults::FaultPlan;
 
 struct CellResult {
@@ -72,7 +73,7 @@ fn run_cell(
         for node in nodes.iter_mut() {
             refs.push(node);
         }
-        let out = match run_exact_checked(
+        let out = match run_exact(
             &mut refs,
             adv.as_mut(),
             &schedule,
@@ -83,9 +84,10 @@ fn run_cell(
             },
             None,
             &FaultPlan::none(),
+            &Deadline::NONE,
         ) {
-            Ok(out) => out,
-            Err(_) => {
+            (out, None) => out,
+            (_, Some(_)) => {
                 truncated += 1;
                 continue;
             }

@@ -16,7 +16,7 @@
 //!    that end with whatever dissemination was achieved — informed
 //!    fraction grows with capacity, and no cap wedges the run.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{checked, split_truncated};
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -24,10 +24,12 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
-use rcb_sim::fast::{run_broadcast_checked, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 
 struct DuelCellResult {
     delivered_rate: f64,
@@ -43,13 +45,14 @@ fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelCellResult {
     } else {
         FaultPlan::none()
     };
-    let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
+    let results = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
         let mut adv: Box<dyn RepetitionAdversary> = if budget == 0 {
             Box::new(NoJamRep)
         } else {
             Box::new(BudgetedRepBlocker::new(budget, 1.0))
         };
-        run_duel_checked(&profile, adv.as_mut(), rng, DuelConfig::default(), &plan)
+        let mut session = DuelSession::new(profile, DuelConfig::default(), plan, seed);
+        checked(session.run(adv.as_mut(), &Deadline::NONE))
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(
@@ -82,18 +85,10 @@ struct BroadcastCellResult {
 
 fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> BroadcastCellResult {
     let params = OneToNParams::practical();
-    let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
-        let mut adv = NoJamRep;
-        run_broadcast_checked(
-            &params,
-            n,
-            &[0],
-            &mut adv,
-            rng,
-            FastConfig::default(),
-            &mut (),
-            &plan,
-        )
+    let results = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
+        let config = FastConfig::default();
+        let mut session = BroadcastSession::new(params, n, vec![0], config, plan, seed);
+        checked(session.run(&mut NoJamRep, &Deadline::NONE))
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(!outcomes.is_empty(), "n {n}: every trial truncated");

@@ -19,13 +19,15 @@ use rcb_channel::Partition;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_core::one_to_one::schedule::DuelSchedule;
 use rcb_core::protocol::SlotProtocol;
+use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::exact::{run_exact_checked, ExactConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::exact::{run_exact, ExactConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
 use crate::experiments::common::{
-    duel_budget_sweep, duel_sweep_base, split_truncated, truncation_note,
+    checked, duel_budget_sweep, duel_sweep_base, split_truncated, truncation_note,
 };
 use rcb_sim::scenario::DuelProtocol;
 
@@ -36,24 +38,25 @@ const EPSILON: f64 = 0.01;
 fn combined_cost(budget: u64, trials: u64, seed: u64) -> (f64, f64, u64) {
     let fig1 = Fig1Profile::with_start_epoch(EPSILON, 8);
     let ksy = KsyProfile::new();
-    let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
+    let results = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
         let mut alice = combined_alice(fig1, ksy);
         let mut bob = combined_bob(fig1, ksy);
         let mut adv = BudgetedPhaseBlocker::new(budget, 1.0);
         let schedule = DuelSchedule::new(8);
         let partition = Partition::pair();
-        let out = run_exact_checked(
+        let out = checked(run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
             &partition,
-            rng,
+            &mut RcbRng::new(seed),
             ExactConfig {
                 max_slots: (budget * 64).max(1 << 22),
             },
             None,
             &FaultPlan::none(),
-        );
+            &Deadline::NONE,
+        ));
         out.map(|o| (o.ledger.max_node_cost() as f64, bob.received_message()))
     });
     let (outcomes, truncated) = split_truncated(results);

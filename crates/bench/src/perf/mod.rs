@@ -13,7 +13,7 @@
 //! Methodology (DESIGN.md §9, §11):
 //!
 //! * Each scenario's trials run with the same `SeedSequence`-derived
-//!   per-trial RNG streams as `run_trials`. The default is one serial pass
+//!   per-trial seeds as `run_trials`. The default is one serial pass
 //!   (`--cpus 1`), which isolates engine hot-path cost from scheduler
 //!   noise; `--cpus 1,2,4` additionally times one full-grid pass per
 //!   worker count through [`rcb_sim::executor::run_cells`] and records a
@@ -237,9 +237,8 @@ fn measure_scenario(entry: &NamedScenario, seed: u64, scale: PerfScale, serial: 
         let mut slots = 0u64;
         let mut checksum = FNV_OFFSET;
         for i in 0..trials {
-            let mut rng = seeds.rng(i);
             let outcome = spec
-                .run_trial(i, &mut rng)
+                .run_trial(i, seeds.child(i))
                 .expect("pinned perf scenarios complete within their caps");
             slots += outcome.slots();
             checksum = fnv1a(checksum, &[spec.outcome_checksum(&outcome)]);

@@ -71,6 +71,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::BroadcastOutcome;
+use crate::session::Session;
 
 /// Limits and mode selection for the cohort engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -171,107 +172,9 @@ fn cohort_key(node: &OneToNNode) -> CohortKey {
     }
 }
 
-/// Runs one 1-to-n execution on the cohort engine: node 0 is the sender.
-///
-/// ```
-/// use rcb_sim::cohort::{run_cohort, CohortConfig};
-/// use rcb_adversary::rep_strategies::NoJamRep;
-/// use rcb_core::one_to_n::OneToNParams;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let params = OneToNParams::practical();
-/// let mut rng = RcbRng::new(7);
-/// let out = run_cohort(&params, 16, &mut NoJamRep, &mut rng, CohortConfig::default());
-/// assert!(out.all_informed && out.all_terminated);
-/// ```
-pub fn run_cohort(
-    params: &OneToNParams,
-    n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-) -> BroadcastOutcome {
-    run_cohort_from(params, n, &[0], adversary, rng, config)
-}
-
-/// Multi-source variant: every node in `sources` starts informed.
-pub fn run_cohort_from(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-) -> BroadcastOutcome {
-    run_cohort_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-        &mut CohortStats::default(),
-    )
-    .0
-}
-
-/// [`run_cohort_from`] with a fault-injection plan. Fault semantics match
-/// the other engines; every fault target is a tracked singleton, and a
-/// battery fault forces all-singleton mode (the energy gauge is per-node
-/// state that anonymous cohorts cannot carry).
-pub fn run_cohort_faulted(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-) -> BroadcastOutcome {
-    run_cohort_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        faults,
-        &Deadline::NONE,
-        &mut CohortStats::default(),
-    )
-    .0
-}
-
-/// [`run_cohort_faulted`] reporting budget exhaustion as a typed error.
-pub fn run_cohort_checked(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-) -> Result<BroadcastOutcome, SimError> {
-    match run_cohort_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        faults,
-        &Deadline::NONE,
-        &mut CohortStats::default(),
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
-}
-
-/// [`run_cohort_from`] that also reports compression diagnostics — how
-/// many cohorts existed, when the first symmetry break split one.
+/// One fault-free cohort-engine run on `rng` that also reports compression
+/// diagnostics — how many cohorts existed, when the first symmetry break
+/// split one.
 pub fn run_cohort_instrumented(
     params: &OneToNParams,
     n: usize,
@@ -280,15 +183,17 @@ pub fn run_cohort_instrumented(
     rng: &mut RcbRng,
     config: CohortConfig,
 ) -> (BroadcastOutcome, CohortStats) {
+    let faults = FaultPlan::none();
+    let mut state = CohortState::new(params, n, sources, config, &faults);
     let mut stats = CohortStats::default();
-    let (out, _) = run_cohort_core(
+    let (out, _) = run_cohort_in(
+        &mut state,
         params,
         n,
-        sources,
         adversary,
         rng,
         config,
-        &FaultPlan::none(),
+        &faults,
         &Deadline::NONE,
         &mut stats,
     );
@@ -304,9 +209,7 @@ const CAT_TRACKED_BASE: usize = 2;
 
 /// Retained per-session state of the cohort engine: the materialized
 /// (tracked) singletons, the anonymous cohort list, and every reusable
-/// sampling buffer. One `CohortState` serves a whole [`CohortSession`];
-/// the legacy entry points build a fresh one per run, so both paths
-/// execute the identical repetition loop.
+/// sampling buffer. One `CohortState` serves a whole [`CohortSession`].
 #[derive(Debug)]
 struct CohortState {
     tracked: Vec<Tracked>,
@@ -416,12 +319,32 @@ impl CohortState {
     }
 }
 
-/// A re-armable cohort-engine session: the cohort list, tracked-singleton
-/// vector, and sampling buffers persist across runs.
-/// [`rearm`](Self::rearm) collapses whatever population structure the
-/// previous run materialized back into the initial cohorts; the golden
+/// A re-armable cohort-engine session: one 1-to-n execution per run, with
+/// every node in `sources` starting informed. The cohort list,
+/// tracked-singleton vector, and sampling buffers persist across runs;
+/// [`rearm`](Session::rearm) collapses whatever population structure the
+/// previous run materialized back into the initial cohorts, and the golden
 /// equivalence suite pins that a re-armed run is bit-identical to a fresh
-/// [`run_cohort_from`] at the same seed.
+/// session at the same seed.
+///
+/// Fault semantics match the other engines; every fault target is a
+/// tracked singleton, and a battery fault forces all-singleton mode (the
+/// energy gauge is per-node state that anonymous cohorts cannot carry).
+///
+/// ```
+/// use rcb_sim::cohort::{CohortConfig, CohortSession};
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
+/// use rcb_adversary::rep_strategies::NoJamRep;
+/// use rcb_core::one_to_n::OneToNParams;
+///
+/// let params = OneToNParams::practical();
+/// let config = CohortConfig::default();
+/// let mut session = CohortSession::new(params, 16, vec![0], config, FaultPlan::none(), 7);
+/// let (out, err) = session.run(&mut NoJamRep, &Deadline::NONE);
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
+/// ```
 #[derive(Debug)]
 pub struct CohortSession {
     params: OneToNParams,
@@ -434,6 +357,10 @@ pub struct CohortSession {
 }
 
 impl CohortSession {
+    /// # Panics
+    ///
+    /// Panics on `n == 0`, an empty or out-of-range `sources` list, or an
+    /// invalid fault plan.
     pub fn new(
         params: OneToNParams,
         n: usize,
@@ -454,18 +381,17 @@ impl CohortSession {
             rng: RcbRng::new(seed),
         }
     }
+}
 
-    /// Re-arms the session to slot 0 on a fresh RNG stream, collapsing
-    /// materialized nodes back into cohorts without reallocating.
-    pub fn rearm(&mut self, seed: u64) {
+impl Session for CohortSession {
+    type Outcome = BroadcastOutcome;
+
+    fn rearm(&mut self, seed: u64) {
         self.state.rearm(&self.params, self.n, &self.sources);
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG. The
-    /// session must be armed (just constructed, or [`rearm`](Self::rearm)
-    /// since the previous run).
-    pub fn run(
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -482,24 +408,6 @@ impl CohortSession {
             &mut CohortStats::default(),
         )
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cohort_core(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-    stats: &mut CohortStats,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = CohortState::new(params, n, sources, config, faults);
-    run_cohort_in(
-        &mut state, params, n, adversary, rng, config, faults, deadline, stats,
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1108,11 +1016,36 @@ mod tests {
         }
     }
 
+    /// A freshly constructed session at `seed`.
+    fn session(n: usize, seed: u64, config: CohortConfig, faults: FaultPlan) -> CohortSession {
+        CohortSession::new(params(), n, vec![0], config, faults, seed)
+    }
+
+    /// One run of a fresh fault-free session at `seed`.
+    fn cohort(
+        n: usize,
+        adversary: &mut dyn RepetitionAdversary,
+        seed: u64,
+        config: CohortConfig,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        session(n, seed, config, FaultPlan::none()).run(adversary, &Deadline::NONE)
+    }
+
+    /// [`cohort`], unjammed, with the default config.
+    fn clean(n: usize, seed: u64) -> BroadcastOutcome {
+        cohort(n, &mut NoJamRep, seed, CohortConfig::default()).0
+    }
+
+    /// One unjammed run of a fresh session under `faults`.
+    fn faulted(n: usize, seed: u64, config: CohortConfig, faults: FaultPlan) -> BroadcastOutcome {
+        session(n, seed, config, faults)
+            .run(&mut NoJamRep, &Deadline::NONE)
+            .0
+    }
+
     #[test]
     fn single_node_terminates_alone() {
-        let p = params();
-        let mut rng = RcbRng::new(1);
-        let out = run_cohort(&p, 1, &mut NoJamRep, &mut rng, CohortConfig::default());
+        let out = clean(1, 1);
         assert!(out.all_terminated, "last epoch {}", out.last_epoch);
         assert!(out.all_informed);
         assert!(!out.truncated);
@@ -1120,12 +1053,10 @@ mod tests {
 
     #[test]
     fn unjammed_broadcast_informs_everyone_exact_mode() {
-        let p = params();
         let mut ok = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(seed);
-            let out = run_cohort(&p, 16, &mut NoJamRep, &mut rng, CohortConfig::default());
+            let out = clean(16, seed);
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed && out.all_terminated {
                 ok += 1;
@@ -1136,12 +1067,10 @@ mod tests {
 
     #[test]
     fn unjammed_broadcast_informs_everyone_aggregate_mode() {
-        let p = params();
         let mut ok = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(100 + seed);
-            let out = run_cohort(&p, 64, &mut NoJamRep, &mut rng, aggregate_config());
+            let (out, _) = cohort(64, &mut NoJamRep, 100 + seed, aggregate_config());
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed && out.all_terminated {
                 ok += 1;
@@ -1154,8 +1083,7 @@ mod tests {
     fn termination_happens_near_the_ideal_epoch() {
         let p = params();
         for (n, cfg) in [(32usize, CohortConfig::default()), (64, aggregate_config())] {
-            let mut rng = RcbRng::new(3);
-            let out = run_cohort(&p, n, &mut NoJamRep, &mut rng, cfg);
+            let (out, _) = cohort(n, &mut NoJamRep, 3, cfg);
             let ideal = p.ideal_epoch(n);
             assert!(
                 out.last_epoch <= ideal + 3,
@@ -1167,66 +1095,37 @@ mod tests {
 
     #[test]
     fn jamming_charges_adversary_and_inflates_cost() {
-        let p = params();
         let n = 16;
-        let mut rng = RcbRng::new(4);
-        let free = run_cohort(&p, n, &mut NoJamRep, &mut rng, CohortConfig::default());
-
-        let mut rng = RcbRng::new(4);
+        let free = clean(n, 4);
         let mut adv = BudgetedRepBlocker::new(16 * free.slots, 1.0);
-        let jammed = run_cohort(&p, n, &mut adv, &mut rng, CohortConfig::default());
+        let (jammed, _) = cohort(n, &mut adv, 4, CohortConfig::default());
         assert!(jammed.adversary_cost > 0);
         assert!(jammed.slots > free.slots);
         assert!(jammed.all_informed, "budget exhausted ⇒ delivery resumes");
     }
 
     #[test]
-    fn epoch_cap_truncates() {
+    fn epoch_cap_truncates_with_a_typed_error() {
         let p = params();
-        let mut rng = RcbRng::new(5);
         let mut adv = SuffixFractionRep::new(1.0);
         let cfg = CohortConfig {
             max_epoch: p.first_epoch + 2,
             ..CohortConfig::default()
         };
-        let out = run_cohort(&p, 4, &mut adv, &mut rng, cfg);
+        let (out, err) = cohort(4, &mut adv, 5, cfg);
         assert!(out.truncated);
         assert!(!out.all_terminated);
         assert_eq!(out.last_epoch, p.first_epoch + 2);
-    }
-
-    #[test]
-    fn checked_run_reports_epoch_cap_as_typed_error() {
-        let p = params();
-        let mut rng = RcbRng::new(5);
-        let mut adv = SuffixFractionRep::new(1.0);
-        let cfg = CohortConfig {
-            max_epoch: p.first_epoch + 2,
-            ..CohortConfig::default()
-        };
-        let err = run_cohort_checked(&p, 4, &[0], &mut adv, &mut rng, cfg, &FaultPlan::none())
-            .expect_err("fully blocked nodes never terminate");
         assert!(matches!(
             err,
-            SimError::EpochBudgetExhausted { max_epoch, .. } if max_epoch == p.first_epoch + 2
+            Some(SimError::EpochBudgetExhausted { max_epoch, .. }) if max_epoch == p.first_epoch + 2
         ));
     }
 
     #[test]
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
-        let p = params();
-        let mut rng = RcbRng::new(7);
-        let (out, err) = run_cohort_core(
-            &p,
-            16,
-            &[0],
-            &mut NoJamRep,
-            &mut rng,
-            CohortConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::after(std::time::Duration::ZERO),
-            &mut CohortStats::default(),
-        );
+        let mut s = session(16, 7, CohortConfig::default(), FaultPlan::none());
+        let (out, err) = s.run(&mut NoJamRep, &Deadline::after(std::time::Duration::ZERO));
         assert!(out.truncated);
         assert_eq!(out.slots, 0);
         assert_eq!(err, Some(SimError::DeadlineExceeded { slots: 0 }));
@@ -1234,17 +1133,13 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
-        let p = params();
         for cfg in [CohortConfig::default(), aggregate_config()] {
             for seed in 0..5u64 {
-                let mut rng_a = RcbRng::new(seed);
                 let mut adv_a = BudgetedRepBlocker::new(40_000, 1.0);
-                let a = run_cohort(&p, 48, &mut adv_a, &mut rng_a, cfg);
-                let mut rng_b = RcbRng::new(seed);
+                let a = cohort(48, &mut adv_a, seed, cfg);
                 let mut adv_b = BudgetedRepBlocker::new(40_000, 1.0);
-                let b = run_cohort(&p, 48, &mut adv_b, &mut rng_b, cfg);
+                let b = cohort(48, &mut adv_b, seed, cfg);
                 assert_eq!(a, b, "seed {seed}");
-                assert_eq!(rng_a, rng_b, "seed {seed}: RNG state must match");
             }
         }
     }
@@ -1255,17 +1150,13 @@ mod tests {
         // compare aggregate vs all-tracked mode across trials at the same
         // n. (Distributions differ per node — the pool is smeared — but
         // totals are drawn from the same law.)
-        let p = params();
         let n = 64;
         let trials = 12;
         let mean = |cfg: CohortConfig, base: u64| {
-            let mut acc = 0.0;
-            for s in 0..trials {
-                let mut rng = RcbRng::new(base + s);
-                let out = run_cohort(&p, n, &mut NoJamRep, &mut rng, cfg);
-                acc += out.mean_cost();
-            }
-            acc / trials as f64
+            let total: f64 = (0..trials)
+                .map(|s| cohort(n, &mut NoJamRep, base + s, cfg).0.mean_cost())
+                .sum();
+            total / trials as f64
         };
         let exact = mean(CohortConfig::default(), 50);
         let agg = mean(aggregate_config(), 950);
@@ -1292,30 +1183,23 @@ mod tests {
         assert!(stats.max_live_cohorts >= 2);
 
         // Determinism of the full trace: a second run with the same seed
-        // reports the identical split boundary.
+        // reports the identical split boundary, and the session path at
+        // that seed produces the identical outcome.
         let mut rng = RcbRng::new(11);
         let (out2, stats2) =
             run_cohort_instrumented(&p, 64, &[0], &mut NoJamRep, &mut rng, aggregate_config());
         assert_eq!(out, out2);
         assert_eq!(stats, stats2);
+        assert_eq!(cohort(64, &mut NoJamRep, 11, aggregate_config()).0, out);
     }
 
     #[test]
     fn crash_restart_reconverges() {
-        let p = params();
         let mut informed_runs = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(900 + seed);
-            let out = run_cohort_faulted(
-                &p,
-                8,
-                &[0],
-                &mut NoJamRep,
-                &mut rng,
-                CohortConfig::default(),
-                &FaultPlan::none().with_crash(3, 2, 6, true),
-            );
+            let plan = FaultPlan::none().with_crash(3, 2, 6, true);
+            let out = faulted(8, 900 + seed, CohortConfig::default(), plan);
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -1329,39 +1213,18 @@ mod tests {
 
     #[test]
     fn crash_target_is_tracked_in_aggregate_mode() {
-        let p = params();
-        let mut rng = RcbRng::new(31);
-        let mut stats = CohortStats::default();
-        let (out, _) = run_cohort_core(
-            &p,
-            64,
-            &[0],
-            &mut NoJamRep,
-            &mut rng,
-            aggregate_config(),
-            &FaultPlan::none().with_crash(7, 1, 4, false),
-            &Deadline::NONE,
-            &mut stats,
-        );
-        assert_eq!(stats.tracked_nodes, 2, "source + crash target");
+        let plan = FaultPlan::none().with_crash(7, 1, 4, false);
+        let mut s = session(64, 31, aggregate_config(), plan);
+        assert_eq!(s.state.tracked.len(), 2, "source + crash target");
+        let (out, _) = s.run(&mut NoJamRep, &Deadline::NONE);
         assert!(!out.truncated);
     }
 
     #[test]
     fn battery_fault_forces_exact_mode_and_caps_cost() {
-        let p = params();
-        let mut rng = RcbRng::new(9);
-        let plain = run_cohort(&p, 8, &mut NoJamRep, &mut rng, CohortConfig::default());
-        let mut rng = RcbRng::new(9);
-        let capped = run_cohort_faulted(
-            &p,
-            8,
-            &[0],
-            &mut NoJamRep,
-            &mut rng,
-            aggregate_config(), // battery overrides the aggregate request
-            &FaultPlan::none().with_battery(20),
-        );
+        let plain = clean(8, 9);
+        // The battery overrides the aggregate request.
+        let capped = faulted(8, 9, aggregate_config(), FaultPlan::none().with_battery(20));
         assert!(!capped.truncated, "dead nodes count as halted");
         assert!(
             capped.max_cost() < plain.max_cost(),
@@ -1373,20 +1236,11 @@ mod tests {
 
     #[test]
     fn lossy_reception_degrades_gracefully() {
-        let p = params();
         let mut informed_runs = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(300 + seed);
-            let out = run_cohort_faulted(
-                &p,
-                16,
-                &[0],
-                &mut NoJamRep,
-                &mut rng,
-                CohortConfig::default(),
-                &FaultPlan::none().with_loss(0.2),
-            );
+            let plan = FaultPlan::none().with_loss(0.2);
+            let out = faulted(16, 300 + seed, CohortConfig::default(), plan);
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;

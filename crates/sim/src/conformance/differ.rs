@@ -2,8 +2,8 @@
 //!
 //! Each *cell* fixes a protocol configuration and an adversary policy; the
 //! harness runs `trials` independent executions per engine (deterministic
-//! per-trial RNG streams via [`run_trials`](crate::runner::run_trials))
-//! and compares the load-bearing
+//! per-trial seeds via [`ScenarioSpec::run_batch_raw`]) and compares the
+//! load-bearing
 //! metrics with two nonparametric tests: Mann–Whitney U (location shifts)
 //! and two-sample Kolmogorov–Smirnov (any distributional difference). Under
 //! the null — both engines sample the same distribution — p-values are
@@ -651,10 +651,13 @@ mod tests {
     use rcb_core::one_to_one::schedule::DuelSchedule;
     use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
     use rcb_core::protocol::SlotProtocol;
+    use rcb_mathkit::rng::RcbRng;
 
-    use crate::duel::{run_duel_faulted, DuelConfig};
-    use crate::exact::{run_exact_faulted, ExactConfig};
+    use crate::deadline::Deadline;
+    use crate::duel::{DuelConfig, DuelSession};
+    use crate::exact::{run_exact, ExactConfig};
     use crate::runner::run_trials;
+    use crate::session::Session;
 
     fn small_cfg() -> ConformanceConfig {
         ConformanceConfig {
@@ -807,34 +810,31 @@ mod tests {
             budget: 4096,
             fraction: 1.0,
         };
-        let exact: Vec<f64> = run_trials(cfg.trials, cfg.seed, cfg.parallelism, |_, rng| {
+        let exact: Vec<f64> = run_trials(cfg.trials, cfg.seed, cfg.parallelism, |_, seed| {
             let mut alice = AliceProtocol::new(profile);
             let mut bob = BobProtocol::new(profile);
             let schedule = DuelSchedule::new(6);
             let partition = Partition::pair();
             let mut adv = RepAsSlotAdversary::duel(jammed.build(0));
-            let out = run_exact_faulted(
+            let (out, _) = run_exact(
                 &mut [&mut alice, &mut bob],
                 &mut adv,
                 &schedule,
                 &partition,
-                rng,
+                &mut RcbRng::new(seed),
                 ExactConfig::default(),
                 None,
                 &FaultPlan::none(),
+                &Deadline::NONE,
             );
             out.ledger.max_node_cost() as f64
         });
-        let fast: Vec<f64> = run_trials(cfg.trials, cfg.fast_seed(), cfg.parallelism, |_, rng| {
+        let fast: Vec<f64> = run_trials(cfg.trials, cfg.fast_seed(), cfg.parallelism, |_, seed| {
             let mut adv = AdversarySpec::NoJam.build(0);
-            run_duel_faulted(
-                &profile,
-                &mut adv,
-                rng,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-            )
-            .max_cost() as f64
+            DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+                .run(adv.as_mut(), &Deadline::NONE)
+                .0
+                .max_cost() as f64
         });
         let verdict = MetricVerdict::compare("max_cost", &exact, &fast, false);
         assert!(
@@ -946,7 +946,6 @@ mod tests {
         use rcb_channel::{Payload, Slot};
         use rcb_core::one_to_one::profile::DuelProfile;
         use rcb_core::protocol::{PeriodLoc, Schedule};
-        use rcb_mathkit::rng::RcbRng;
 
         const PERIOD: u64 = 4;
         const HORIZON: u64 = 2 * PERIOD;
@@ -1034,30 +1033,25 @@ mod tests {
             let mut sender = MeteredSender::default();
             let mut probe = BoundaryProbe::default();
             let mut adv = RepAsSlotAdversary::duel(Box::new(NoJamRep));
-            let mut rng = RcbRng::new(9);
-            run_exact_faulted(
+            let _ = run_exact(
                 &mut [&mut sender, &mut probe],
                 &mut adv,
                 &FourSlotPeriods,
                 &Partition::pair(),
-                &mut rng,
+                &mut RcbRng::new(9),
                 ExactConfig::default(),
                 None,
                 &FaultPlan::none().with_skew(1, s),
+                &Deadline::NONE,
             );
             probe.first_decode
         };
         let fast_delivery = |s: u64| {
-            let mut rng = RcbRng::new(9);
-            let mut adv = NoJamRep;
-            run_duel_faulted(
-                &AlwaysOnProfile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_skew(1, s),
-            )
-            .delivery_slot
+            let plan = FaultPlan::none().with_skew(1, s);
+            DuelSession::new(AlwaysOnProfile, DuelConfig::default(), plan, 9)
+                .run(&mut NoJamRep, &Deadline::NONE)
+                .0
+                .delivery_slot
         };
         for s in 0..=PERIOD {
             let exact = exact_first_decode(s);

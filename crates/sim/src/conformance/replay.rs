@@ -237,7 +237,9 @@ pub fn replay_broadcast_trace(n: usize, trace: &Trace) -> BroadcastReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::Deadline;
     use crate::exact::{run_exact, ExactConfig};
+    use crate::faults::FaultPlan;
     use rcb_adversary::rep_strategies::BudgetedRepBlocker;
     use rcb_adversary::slot_strategies::NoJam;
     use rcb_adversary::RepAsSlotAdversary;
@@ -257,7 +259,7 @@ mod tests {
         let mut rng = RcbRng::new(seed);
         let mut adv = RepAsSlotAdversary::duel(BudgetedRepBlocker::new(budget, 1.0));
         let mut trace = Trace::with_capacity(1 << 22);
-        let out = run_exact(
+        let (out, _) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -265,6 +267,8 @@ mod tests {
             &mut rng,
             ExactConfig::default(),
             Some(&mut trace),
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
         assert!(out.completed);
         assert_eq!(trace.dropped(), 0, "trace must hold the whole run");
@@ -348,7 +352,7 @@ mod tests {
             let mut rng = RcbRng::new(100 + seed);
             let mut adv = NoJam;
             let mut trace = Trace::with_capacity(1 << 22);
-            let out = run_exact(
+            let (out, _) = run_exact(
                 &mut refs,
                 &mut adv,
                 &schedule,
@@ -358,6 +362,8 @@ mod tests {
                     max_slots: 40_000_000,
                 },
                 Some(&mut trace),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             );
             assert!(out.completed);
             assert_eq!(trace.dropped(), 0);

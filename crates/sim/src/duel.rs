@@ -30,6 +30,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::DuelOutcome;
+use crate::session::Session;
 
 /// The duel engine's epoch cap: phase lengths past 2^62 slots overflow the
 /// slot arithmetic, so runs are truncated here regardless of `max_slots`.
@@ -64,88 +65,48 @@ fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, b
     }
 }
 
-/// Runs one execution of a two-party epoch protocol described by `profile`
-/// against a repetition-granularity adversary.
-///
-/// ```
-/// use rcb_sim::duel::{run_duel, DuelConfig};
-/// use rcb_adversary::rep_strategies::BudgetedRepBlocker;
-/// use rcb_core::one_to_one::profile::Fig1Profile;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let profile = Fig1Profile::with_start_epoch(0.05, 8);
-/// let mut jammer = BudgetedRepBlocker::new(50_000, 1.0);
-/// let mut rng = RcbRng::new(1);
-/// let out = run_duel(&profile, &mut jammer, &mut rng, DuelConfig::default());
-/// assert!(out.delivered);
-/// assert!(out.max_cost() < out.adversary_cost / 4); // √T ≪ T
-/// ```
-pub fn run_duel<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-) -> DuelOutcome {
-    run_duel_core(
-        profile,
-        adversary,
-        rng,
-        config,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_duel`] with a fault-injection plan (see [`crate::faults`]).
-///
-/// Node convention: Alice is node 0, Bob node 1 (matching the exact
-/// engine's pair partition); periods are phases. A crashed or
-/// battery-dead party skips its sampling but still runs its phase
-/// epilogue with zero counts — exactly what the exact engine's slot
-/// clock does for a sleeping radio — so a quiet window can push it into
-/// premature halting, which is measured degradation, not a bug.
-pub fn run_duel_faulted<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-) -> DuelOutcome {
-    run_duel_core(profile, adversary, rng, config, faults, &Deadline::NONE).0
-}
-
-/// [`run_duel_faulted`] that reports budget exhaustion (the slot cap or
-/// the epoch-62 runaway guard) as a typed [`SimError`] instead of a
-/// silent `truncated` flag.
-pub fn run_duel_checked<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-) -> Result<DuelOutcome, SimError> {
-    match run_duel_core(profile, adversary, rng, config, faults, &Deadline::NONE) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
-}
-
 /// Reusable phase buffers: the transmitting party's slot set and the
-/// listening party's. One pair of allocations serves a whole session (or
-/// one legacy run) instead of two fresh `Vec`s per epoch.
+/// listening party's. One pair of allocations serves a whole session
+/// instead of two fresh `Vec`s per epoch.
 #[derive(Debug, Default)]
-pub struct DuelScratch {
+struct DuelScratch {
     sends_buf: Vec<u64>,
     listens_buf: Vec<u64>,
 }
 
-/// A re-armable fast-duel session: retains the scratch buffers (and the
-/// profile/config/fault plan) across runs so a stream of executions costs
-/// zero allocations after the first. The protocol state itself
-/// ([`AliceState`]/[`BobState`]) is rebuilt from the profile at the top of
-/// every run — it is two plain words, so "without reallocating" holds by
-/// construction, and so does bit-identity with a fresh engine invocation.
+/// A re-armable fast-duel session: runs one execution of a two-party epoch
+/// protocol described by `profile` against a repetition-granularity
+/// adversary, and retains the scratch buffers (and the profile/config/fault
+/// plan) across runs so a stream of executions costs zero allocations after
+/// the first. The protocol state itself ([`AliceState`]/[`BobState`]) is
+/// rebuilt from the profile at the top of every run — it is two plain
+/// words, so "without reallocating" holds by construction, and so does
+/// bit-identity with a freshly constructed session.
+///
+/// Fault node convention: Alice is node 0, Bob node 1 (matching the exact
+/// engine's pair partition); periods are phases. A crashed or
+/// battery-dead party skips its sampling but still runs its phase
+/// epilogue with zero counts — exactly what the exact engine's slot
+/// clock does for a sleeping radio — so a quiet window can push it into
+/// premature halting, which is measured degradation, not a bug. Budget
+/// exhaustion (the slot cap or the epoch-62 runaway guard) surfaces as a
+/// typed [`SimError`] next to the outcome's `truncated` flag.
+///
+/// ```
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::duel::{DuelConfig, DuelSession};
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
+/// use rcb_adversary::rep_strategies::BudgetedRepBlocker;
+/// use rcb_core::one_to_one::profile::Fig1Profile;
+///
+/// let profile = Fig1Profile::with_start_epoch(0.05, 8);
+/// let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 1);
+/// let mut jammer = BudgetedRepBlocker::new(50_000, 1.0);
+/// let (out, err) = session.run(&mut jammer, &Deadline::NONE);
+/// assert!(err.is_none() && out.delivered);
+/// assert!(out.max_cost() < out.adversary_cost / 4); // √T ≪ T
+/// ```
 #[derive(Debug)]
 pub struct DuelSession<P> {
     profile: P,
@@ -166,16 +127,16 @@ impl<P: DuelProfile> DuelSession<P> {
             rng: RcbRng::new(seed),
         }
     }
+}
 
-    /// Re-arms the session for its next run on a fresh RNG stream. After
-    /// `rearm(seed)`, [`run`](Self::run) is bit-identical to a freshly
-    /// constructed session (or the legacy entry points) at `seed`.
-    pub fn rearm(&mut self, seed: u64) {
+impl<P: DuelProfile> Session for DuelSession<P> {
+    type Outcome = DuelOutcome;
+
+    fn rearm(&mut self, seed: u64) {
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG.
-    pub fn run(
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -190,25 +151,6 @@ impl<P: DuelProfile> DuelSession<P> {
             deadline,
         )
     }
-}
-
-pub(crate) fn run_duel_core<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (DuelOutcome, Option<SimError>) {
-    run_duel_in(
-        &mut DuelScratch::default(),
-        profile,
-        adversary,
-        rng,
-        config,
-        faults,
-        deadline,
-    )
 }
 
 fn run_duel_in<P: DuelProfile>(
@@ -262,8 +204,8 @@ fn run_duel_in<P: DuelProfile>(
     } = scratch;
 
     // The deadline checkpoint consumes no RNG, so an unbounded deadline
-    // (the default on every legacy path) stays byte-identical; the
-    // `is_unbounded` gate keeps even the clock read off the default path.
+    // stays byte-identical; the `is_unbounded` gate keeps even the clock
+    // read off the default path.
     let bounded = !deadline.is_unbounded();
 
     while !((alice.is_done() || alice_dead) && (bob.is_done() || bob_dead)) {
@@ -480,15 +422,40 @@ mod tests {
     use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
     use rcb_core::one_to_one::profile::Fig1Profile;
 
+    /// One run of a freshly constructed session at `seed`.
+    fn duel<P: DuelProfile>(
+        profile: P,
+        adversary: &mut dyn RepetitionAdversary,
+        seed: u64,
+        config: DuelConfig,
+        faults: FaultPlan,
+    ) -> (DuelOutcome, Option<SimError>) {
+        DuelSession::new(profile, config, faults, seed).run(adversary, &Deadline::NONE)
+    }
+
+    /// [`duel`] with the default config and no faults.
+    fn clean<P: DuelProfile>(
+        profile: P,
+        adversary: &mut dyn RepetitionAdversary,
+        seed: u64,
+    ) -> DuelOutcome {
+        duel(
+            profile,
+            adversary,
+            seed,
+            DuelConfig::default(),
+            FaultPlan::none(),
+        )
+        .0
+    }
+
     #[test]
     fn unjammed_run_delivers_with_high_probability() {
         let profile = Fig1Profile::new(0.1); // paper start epoch (14)
         let mut delivered = 0;
         let trials = 100;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+            let out = clean(profile, &mut NoJamRep, seed);
             assert!(!out.truncated);
             assert_eq!(out.adversary_cost, 0);
             if out.delivered {
@@ -506,14 +473,10 @@ mod tests {
         // With T = 0, expected cost is O(ln(1/ε)) — concretely, about one
         // epoch's activity: p_i·2^i per phase at the start epoch.
         let profile = Fig1Profile::new(0.1);
-        let mut rng = RcbRng::new(42);
-        let mut total = 0u64;
         let trials = 50;
-        for _ in 0..trials {
-            let mut adv = NoJamRep;
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
-            total += out.max_cost();
-        }
+        let total: u64 = (0..trials)
+            .map(|seed| clean(profile, &mut NoJamRep, 42 + seed).max_cost())
+            .sum();
         let mean = total as f64 / trials as f64;
         let i = profile.start_epoch();
         let one_epoch = profile.rate(i) * (2 * (1u64 << i)) as f64;
@@ -526,10 +489,9 @@ mod tests {
     #[test]
     fn full_blocking_forces_epoch_progression() {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        let mut rng = RcbRng::new(1);
         // Budget enough to fully block epochs 8 and 9 (4 phases: 2·256+2·512).
         let mut adv = BudgetedRepBlocker::new(1536, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = clean(profile, &mut adv, 1);
         assert!(out.adversary_cost > 0);
         assert!(
             out.last_epoch >= 10,
@@ -545,12 +507,10 @@ mod tests {
         let mut slots_small = 0u64;
         let mut slots_large = 0u64;
         for seed in 0..20 {
-            let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(2_000, 1.0);
-            slots_small += run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
-            let mut rng = RcbRng::new(seed + 1000);
+            slots_small += clean(profile, &mut adv, seed).slots;
             let mut adv = BudgetedRepBlocker::new(64_000, 1.0);
-            slots_large += run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
+            slots_large += clean(profile, &mut adv, seed + 1000).slots;
         }
         // 32× budget should yield far more than 4× latency (it is ~linear).
         assert!(
@@ -569,29 +529,16 @@ mod tests {
         let mut cost_small = 0.0;
         let mut cost_large = 0.0;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-            cost_small +=
-                run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
-            let mut rng = RcbRng::new(seed + 500);
+            cost_small += clean(profile, &mut adv, seed).max_cost() as f64;
             let mut adv = BudgetedRepBlocker::new(262_144, 1.0);
-            cost_large +=
-                run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
+            cost_large += clean(profile, &mut adv, seed + 500).max_cost() as f64;
         }
         let ratio = cost_large / cost_small;
         assert!(
             ratio > 3.0 && ratio < 20.0,
             "64× budget → cost ratio {ratio}, expected ≈ 8"
         );
-    }
-
-    #[test]
-    fn truncation_is_reported() {
-        let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        let mut rng = RcbRng::new(3);
-        let mut adv = BudgetedRepBlocker::new(10_000, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig { max_slots: 100 });
-        assert!(out.truncated);
     }
 
     /// Records every (context, summary) pair it observes; never jams.
@@ -618,11 +565,10 @@ mod tests {
         // and exceed the phase length.
         for seed in 0..20 {
             let profile = Fig1Profile::with_start_epoch(0.05, 6);
-            let mut rng = RcbRng::new(seed);
             let mut adv = RecordingRep {
                 observed: Vec::new(),
             };
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+            let out = clean(profile, &mut adv, seed);
 
             let mut alice_total = 0u64;
             let mut bob_total = 0u64;
@@ -669,81 +615,44 @@ mod tests {
         }
     }
 
+    const UNCAPPED: DuelConfig = DuelConfig {
+        max_slots: u64::MAX,
+    };
+
     #[test]
-    fn runaway_epochs_truncate_instead_of_panicking() {
-        let mut rng = RcbRng::new(5);
-        let mut adv = NoJamRep;
-        let out = run_duel(
-            &NeverHaltProfile,
-            &mut adv,
-            &mut rng,
-            DuelConfig {
-                max_slots: u64::MAX,
-            },
+    fn runaway_epochs_truncate_with_a_typed_error() {
+        let (out, err) = duel(
+            NeverHaltProfile,
+            &mut NoJamRep,
+            5,
+            UNCAPPED,
+            FaultPlan::none(),
         );
         assert!(out.truncated, "epoch cap must truncate, not abort");
         assert!(!out.delivered);
         assert_eq!(out.last_epoch, 61);
-    }
-
-    #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        for seed in 0..20 {
-            let mut rng_a = RcbRng::new(seed);
-            let mut adv_a = BudgetedRepBlocker::new(4096, 1.0);
-            let plain = run_duel(&profile, &mut adv_a, &mut rng_a, DuelConfig::default());
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv_b = BudgetedRepBlocker::new(4096, 1.0);
-            let faulted = run_duel_faulted(
-                &profile,
-                &mut adv_b,
-                &mut rng_b,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-            );
-            assert_eq!(plain, faulted, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "no extra randomness was drawn");
-        }
-    }
-
-    #[test]
-    fn checked_run_reports_epoch_cap_as_typed_error() {
-        let mut rng = RcbRng::new(5);
-        let mut adv = NoJamRep;
-        let err = run_duel_checked(
-            &NeverHaltProfile,
-            &mut adv,
-            &mut rng,
-            DuelConfig {
-                max_slots: u64::MAX,
-            },
-            &FaultPlan::none(),
-        )
-        .expect_err("runaway profile must exhaust the epoch budget");
         assert!(matches!(
             err,
-            SimError::EpochBudgetExhausted { max_epoch: 62, .. }
+            Some(SimError::EpochBudgetExhausted { max_epoch: 62, .. })
         ));
     }
 
     #[test]
-    fn checked_run_reports_slot_cap_as_typed_error() {
+    fn slot_cap_truncates_with_a_typed_error() {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        let mut rng = RcbRng::new(3);
         let mut adv = BudgetedRepBlocker::new(10_000, 1.0);
-        let err = run_duel_checked(
-            &profile,
-            &mut adv,
-            &mut rng,
-            DuelConfig { max_slots: 100 },
-            &FaultPlan::none(),
-        )
-        .expect_err("100 slots cannot finish a jammed duel");
+        let config = DuelConfig { max_slots: 100 };
+        let (out, err) = duel(profile, &mut adv, 3, config, FaultPlan::none());
+        assert!(out.truncated, "100 slots cannot finish a jammed duel");
         assert!(matches!(
             err,
-            SimError::SlotBudgetExhausted { max_slots: 100, .. }
+            Some(SimError::SlotBudgetExhausted { max_slots: 100, .. })
         ));
+    }
+
+    /// Runs `profile` unjammed under `faults` at `seed`.
+    fn faulted<P: DuelProfile>(profile: P, seed: u64, faults: FaultPlan) -> DuelOutcome {
+        duel(profile, &mut NoJamRep, seed, DuelConfig::default(), faults).0
     }
 
     #[test]
@@ -752,15 +661,7 @@ mod tests {
         // must eventually halt prematurely via the noise threshold path.
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         for seed in 0..10 {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            let out = run_duel_faulted(
-                &profile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_loss(1.0),
-            );
+            let out = faulted(profile, seed, FaultPlan::none().with_loss(1.0));
             assert!(!out.delivered, "seed {seed}: lossy radio cannot decode m");
             assert!(!out.truncated, "seed {seed}: the duel still halts");
         }
@@ -769,22 +670,10 @@ mod tests {
     #[test]
     fn moderate_loss_still_delivers_mostly() {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        let mut delivered = 0;
         let trials = 50;
-        for seed in 0..trials {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            let out = run_duel_faulted(
-                &profile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_loss(0.2),
-            );
-            if out.delivered {
-                delivered += 1;
-            }
-        }
+        let delivered = (0..trials)
+            .filter(|&seed| faulted(profile, seed, FaultPlan::none().with_loss(0.2)).delivered)
+            .count() as u64;
         assert!(
             delivered >= trials * 6 / 10,
             "graceful degradation: {delivered}/{trials} delivered at p_loss = 0.2"
@@ -796,14 +685,10 @@ mod tests {
         // Bob offline from the start, forever: he never listens, so his
         // cost is zero and delivery is impossible.
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJamRep;
-        let out = run_duel_faulted(
-            &profile,
-            &mut adv,
-            &mut rng,
-            DuelConfig::default(),
-            &FaultPlan::none().with_crash(1, 0, u64::MAX, false),
+        let out = faulted(
+            profile,
+            9,
+            FaultPlan::none().with_crash(1, 0, u64::MAX, false),
         );
         assert_eq!(out.bob_cost, 0);
         assert!(!out.delivered);
@@ -817,15 +702,9 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let cap = 16u64;
         for seed in 0..10 {
-            let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(1 << 20, 1.0);
-            let out = run_duel_faulted(
-                &profile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_battery(cap),
-            );
+            let plan = FaultPlan::none().with_battery(cap);
+            let (out, _) = duel(profile, &mut adv, seed, DuelConfig::default(), plan);
             assert!(!out.truncated, "seed {seed}: dead parties end the run");
             // Overshoot is bounded by one phase of sampled activity: at
             // start epoch 8 that is ≈ rate·len ≈ 47 expected actions, so
@@ -867,14 +746,10 @@ mod tests {
     #[test]
     fn skewed_bob_hears_boundary_slots_as_noise() {
         let run = |skew_slots: u64| {
-            let mut rng = RcbRng::new(4);
-            let mut adv = NoJamRep;
-            run_duel_faulted(
-                &AlwaysOnProfile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_skew(1, skew_slots),
+            faulted(
+                AlwaysOnProfile,
+                4,
+                FaultPlan::none().with_skew(1, skew_slots),
             )
         };
         // No skew: Alice sends every slot, Bob decodes at offset 0.
@@ -891,42 +766,25 @@ mod tests {
 
     #[test]
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
-        let mut rng = RcbRng::new(5);
-        let mut adv = NoJamRep;
-        let (out, err) = run_duel_core(
-            &NeverHaltProfile,
-            &mut adv,
-            &mut rng,
-            DuelConfig {
-                max_slots: u64::MAX,
-            },
-            &FaultPlan::none(),
-            &Deadline::after(std::time::Duration::ZERO),
-        );
+        let mut session = DuelSession::new(NeverHaltProfile, UNCAPPED, FaultPlan::none(), 5);
+        let elapsed = Deadline::after(std::time::Duration::ZERO);
+        let (out, err) = session.run(&mut NoJamRep, &elapsed);
         assert!(out.truncated);
         assert!(matches!(err, Some(SimError::DeadlineExceeded { .. })));
     }
 
     #[test]
-    fn an_unbounded_deadline_is_bit_identical_to_the_legacy_path() {
+    fn an_unbounded_deadline_is_bit_identical_to_no_deadline() {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
+        let far = Deadline::after(std::time::Duration::from_secs(3600));
         for seed in 0..10 {
-            let mut rng_a = RcbRng::new(seed);
             let mut adv_a = BudgetedRepBlocker::new(4096, 1.0);
-            let plain = run_duel(&profile, &mut adv_a, &mut rng_a, DuelConfig::default());
-            let mut rng_b = RcbRng::new(seed);
+            let plain = clean(profile, &mut adv_a, seed);
             let mut adv_b = BudgetedRepBlocker::new(4096, 1.0);
-            let far = Deadline::after(std::time::Duration::from_secs(3600));
-            let (timed, err) = run_duel_core(
-                &profile,
-                &mut adv_b,
-                &mut rng_b,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-                &far,
-            );
+            let mut session =
+                DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed);
+            let (timed, err) = session.run(&mut adv_b, &far);
             assert_eq!(plain, timed, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}: no extra randomness drawn");
             assert!(err.is_none());
         }
     }

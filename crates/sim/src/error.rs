@@ -118,14 +118,15 @@ impl SimError {
 
 impl std::error::Error for SimError {}
 
-/// A trial that panicked inside
-/// [`run_trials_isolated`](crate::runner::run_trials_isolated).
+/// A trial that kept panicking under
+/// [`run_specs_ctl`](crate::executor::run_specs_ctl)'s same-seed retry
+/// policy and was quarantined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialFailure {
     /// The trial index whose closure panicked.
     pub trial: u64,
     /// The stringified panic payload; non-string payloads are rendered as
-    /// `TypeName: value` for the probed types (see `runner::panic_payload`).
+    /// `TypeName: value` for the probed types (see `executor::panic_payload`).
     pub payload: String,
     /// Same-seed attempts made before giving up (1 = no retry policy).
     pub attempts: u32,

@@ -45,103 +45,15 @@ pub struct ExactOutcome {
     pub completed: bool,
 }
 
-/// Runs `protocols` against `adversary` until every node is done (or the
-/// slot cap is hit). `schedule` supplies the public period structure handed
-/// to the adversary; `trace`, when provided, records per-slot summaries.
-pub fn run_exact(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
-) -> ExactOutcome {
-    run_exact_core(
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_exact`] with a fault-injection plan (see [`crate::faults`])
-/// layered between the channel and the receivers.
-///
-/// Battery-dead and crashed nodes are forced to [`Action::Sleep`];
-/// battery-dead nodes additionally count as halted for the completion
-/// check (they can never act again). The trace and the adversary's
-/// observations record the **raw** channel resolution — receiver-side
-/// degradation is invisible on the air.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exact_faulted(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
-    faults: &FaultPlan,
-) -> ExactOutcome {
-    run_exact_core(
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        faults,
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_exact_faulted`] that reports budget exhaustion as a typed
-/// [`SimError`] instead of a silent `completed = false`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exact_checked(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
-    faults: &FaultPlan,
-) -> Result<ExactOutcome, SimError> {
-    match run_exact_core(
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        faults,
-        &Deadline::NONE,
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
-}
-
 /// Slots between deadline checkpoints in the exact engine's hot loop: the
 /// per-slot work is small, so reading the clock every slot would dominate.
 const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 
 /// Retained per-session state of the exact engine: the energy ledger and
-/// every per-slot buffer. Sessions hold one across runs; the legacy entry
-/// points build a fresh one per run, so both paths execute the identical
-/// slot loop. The outcome clones the ledger (node counts, not slots — the
-/// only per-run copy the session layer introduces).
+/// every per-slot buffer. Sessions hold one across runs; [`run_exact`]
+/// builds a fresh one per run, so both paths execute the identical slot
+/// loop. The outcome clones the ledger (node counts, not slots — the only
+/// per-run copy the session layer introduces).
 #[derive(Debug)]
 pub struct ExactScratch {
     ledger: EnergyLedger,
@@ -180,8 +92,22 @@ impl ExactScratch {
     }
 }
 
+/// Runs `protocols` against `adversary` until every node is done, the slot
+/// cap is hit, or `deadline` passes. `schedule` supplies the public period
+/// structure handed to the adversary; `trace`, when provided, records
+/// per-slot summaries.
+///
+/// `faults` layers a fault-injection plan (see [`crate::faults`]) between
+/// the channel and the receivers: battery-dead and crashed nodes are forced
+/// to [`Action::Sleep`], and battery-dead nodes additionally count as
+/// halted for the completion check (they can never act again). The trace
+/// and the adversary's observations record the **raw** channel resolution
+/// — receiver-side degradation is invisible on the air.
+///
+/// Budget exhaustion (the slot cap) and a passed deadline surface as a
+/// typed [`SimError`] next to the outcome's `completed = false`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_exact_core(
+pub fn run_exact(
     protocols: &mut [&mut dyn SlotProtocol],
     adversary: &mut dyn SlotAdversary,
     schedule: &dyn Schedule,
@@ -393,27 +319,45 @@ mod tests {
         )
     }
 
+    /// Runs a fresh Fig-1 pair at `start_epoch` on `seed` with no trace
+    /// and no deadline; the flag says whether Bob received `m`.
+    fn duel(
+        start_epoch: u32,
+        adversary: &mut dyn SlotAdversary,
+        seed: u64,
+        config: ExactConfig,
+        faults: &FaultPlan,
+    ) -> (ExactOutcome, Option<SimError>, bool) {
+        let (mut alice, mut bob, schedule) = fig1_pair(start_epoch);
+        let (out, err) = run_exact(
+            &mut [&mut alice, &mut bob],
+            adversary,
+            &schedule,
+            &Partition::pair(),
+            &mut RcbRng::new(seed),
+            config,
+            None,
+            faults,
+            &Deadline::NONE,
+        );
+        (out, err, bob.received_message())
+    }
+
     #[test]
     fn unjammed_duel_delivers_and_halts_fast() {
         let mut delivered = 0;
         let trials = 50;
         for seed in 0..trials {
-            let (mut alice, mut bob, schedule) = fig1_pair(6);
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJam;
-            let partition = Partition::pair();
-            let out = run_exact(
-                &mut [&mut alice, &mut bob],
-                &mut adv,
-                &schedule,
-                &partition,
-                &mut rng,
+            let (out, _, got_m) = duel(
+                6,
+                &mut NoJam,
+                seed,
                 ExactConfig::default(),
-                None,
+                &FaultPlan::none(),
             );
             assert!(out.completed, "unjammed duel must halt");
             assert_eq!(out.ledger.adversary_cost(), 0);
-            if bob.received_message() {
+            if got_m {
                 delivered += 1;
             }
             // With no jamming both should halt within very few epochs:
@@ -430,20 +374,9 @@ mod tests {
 
     #[test]
     fn jamming_inflates_costs_and_charges_adversary() {
-        let (mut alice, mut bob, schedule) = fig1_pair(6);
-        let mut rng = RcbRng::new(7);
         // Fully block early phases with a healthy budget.
         let mut adv = BudgetedPhaseBlocker::new(2_000, 1.0);
-        let partition = Partition::pair();
-        let out = run_exact(
-            &mut [&mut alice, &mut bob],
-            &mut adv,
-            &schedule,
-            &partition,
-            &mut rng,
-            ExactConfig::default(),
-            None,
-        );
+        let (out, _, _) = duel(6, &mut adv, 7, ExactConfig::default(), &FaultPlan::none());
         assert!(out.completed);
         assert!(out.ledger.adversary_cost() > 0);
         // Heavy early jamming must push the pair past the first epoch.
@@ -453,80 +386,46 @@ mod tests {
     #[test]
     fn trace_records_slots() {
         let (mut alice, mut bob, schedule) = fig1_pair(5);
-        let mut rng = RcbRng::new(8);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
         let mut trace = Trace::with_capacity(64);
-        let out = run_exact(
+        let (out, _) = run_exact(
             &mut [&mut alice, &mut bob],
-            &mut adv,
+            &mut NoJam,
             &schedule,
-            &partition,
-            &mut rng,
+            &Partition::pair(),
+            &mut RcbRng::new(8),
             ExactConfig::default(),
             Some(&mut trace),
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
         assert!(out.completed);
         assert!(!trace.is_empty());
     }
 
     #[test]
-    fn slot_cap_truncates() {
-        let (mut alice, mut bob, schedule) = fig1_pair(8);
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
-        let out = run_exact(
-            &mut [&mut alice, &mut bob],
-            &mut adv,
-            &schedule,
-            &partition,
-            &mut rng,
-            ExactConfig { max_slots: 10 },
-            None,
-        );
+    fn slot_cap_truncates_with_a_typed_error() {
+        let config = ExactConfig { max_slots: 10 };
+        let (out, err, _) = duel(8, &mut NoJam, 9, config, &FaultPlan::none());
         assert_eq!(out.slots, 10);
         assert!(!out.completed);
-    }
-
-    #[test]
-    fn checked_run_reports_slot_budget_exhaustion() {
-        let (mut alice, mut bob, schedule) = fig1_pair(8);
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
-        let err = run_exact_checked(
-            &mut [&mut alice, &mut bob],
-            &mut adv,
-            &schedule,
-            &partition,
-            &mut rng,
-            ExactConfig { max_slots: 10 },
-            None,
-            &FaultPlan::none(),
-        )
-        .expect_err("10 slots cannot finish a duel");
         assert_eq!(
             err,
-            SimError::SlotBudgetExhausted {
+            Some(SimError::SlotBudgetExhausted {
                 max_slots: 10,
                 slots: 10
-            }
+            })
         );
     }
 
     #[test]
     fn an_elapsed_deadline_stops_the_slot_loop_with_a_typed_error() {
         let (mut alice, mut bob, schedule) = fig1_pair(8);
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
-        let (out, err) = run_exact_core(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
-            &mut adv,
+            &mut NoJam,
             &schedule,
-            &partition,
-            &mut rng,
+            &Partition::pair(),
+            &mut RcbRng::new(9),
             ExactConfig::default(),
             None,
             &FaultPlan::none(),
@@ -539,67 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let partition = Partition::pair();
-        let run = |faulted: bool| {
-            let (mut alice, mut bob, schedule) = fig1_pair(6);
-            let mut rng = RcbRng::new(77);
-            let mut adv = BudgetedPhaseBlocker::new(500, 1.0);
-            let protocols: &mut [&mut dyn SlotProtocol] = &mut [&mut alice, &mut bob];
-            if faulted {
-                run_exact_faulted(
-                    protocols,
-                    &mut adv,
-                    &schedule,
-                    &partition,
-                    &mut rng,
-                    ExactConfig::default(),
-                    None,
-                    &FaultPlan::none(),
-                )
-            } else {
-                run_exact(
-                    protocols,
-                    &mut adv,
-                    &schedule,
-                    &partition,
-                    &mut rng,
-                    ExactConfig::default(),
-                    None,
-                )
-            }
-        };
-        let plain = run(false);
-        let faulted = run(true);
-        assert_eq!(plain.slots, faulted.slots);
-        assert_eq!(plain.completed, faulted.completed);
-        for i in 0..2 {
-            assert_eq!(plain.ledger.node_cost(i), faulted.ledger.node_cost(i));
-        }
-        assert_eq!(
-            plain.ledger.adversary_cost(),
-            faulted.ledger.adversary_cost()
-        );
-    }
-
-    #[test]
     fn battery_brownout_halts_the_run() {
         // A 1-unit battery dies at the first period boundary after any
         // activity; the run then completes with both nodes offline.
-        let (mut alice, mut bob, schedule) = fig1_pair(6);
-        let mut rng = RcbRng::new(11);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
-        let out = run_exact_faulted(
-            &mut [&mut alice, &mut bob],
-            &mut adv,
-            &schedule,
-            &partition,
-            &mut rng,
-            ExactConfig::default(),
-            None,
-            &FaultPlan::none().with_battery(1),
-        );
+        let plan = FaultPlan::none().with_battery(1);
+        let (out, _, _) = duel(6, &mut NoJam, 11, ExactConfig::default(), &plan);
         assert!(out.completed, "dead nodes count as halted");
         assert!(
             out.slots < 4096,
@@ -619,20 +462,8 @@ mod tests {
     fn crashed_node_sleeps_through_its_window() {
         // Crash Bob for the entire run: he never acts, so his ledger stays
         // empty and Alice eventually gives up on her own.
-        let (mut alice, mut bob, schedule) = fig1_pair(6);
-        let mut rng = RcbRng::new(12);
-        let mut adv = NoJam;
-        let partition = Partition::pair();
-        let out = run_exact_faulted(
-            &mut [&mut alice, &mut bob],
-            &mut adv,
-            &schedule,
-            &partition,
-            &mut rng,
-            ExactConfig::default(),
-            None,
-            &FaultPlan::none().with_crash(1, 0, u64::MAX, false),
-        );
+        let plan = FaultPlan::none().with_crash(1, 0, u64::MAX, false);
+        let (out, _, _) = duel(6, &mut NoJam, 12, ExactConfig::default(), &plan);
         assert_eq!(out.ledger.node_cost(1), 0, "radio off costs nothing");
         assert!(out.ledger.node_cost(0) > 0, "Alice still runs");
     }
@@ -641,17 +472,17 @@ mod tests {
     #[should_panic]
     fn partition_size_mismatch_panics() {
         let (mut alice, _, schedule) = fig1_pair(5);
-        let mut rng = RcbRng::new(10);
-        let mut adv = NoJam;
         let partition = Partition::pair(); // 2 slots, 1 protocol
-        run_exact(
+        let _ = run_exact(
             &mut [&mut alice],
-            &mut adv,
+            &mut NoJam,
             &schedule,
             &partition,
-            &mut rng,
+            &mut RcbRng::new(10),
             ExactConfig::default(),
             None,
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
     }
 }

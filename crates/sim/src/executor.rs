@@ -1,25 +1,26 @@
-//! Deterministic work-stealing scenario executor.
+//! Deterministic work-stealing executor: the crate's one thread pool.
 //!
-//! [`run_trials`](crate::runner::run_trials) shards the *trials* of one
-//! batch across cores; this module generalises the same atomic-cursor
-//! pattern to heterogeneous work lists, which is what the serial consumers
-//! (experiment sweeps, the conformance grid, the perf grid) actually hold:
+//! Every parallel run in the crate — trial batches, experiment sweeps, the
+//! conformance grid, the perf grid — goes through one scoped-thread,
+//! atomic-cursor pool ([`run_cells_ctl`]):
 //!
 //! * [`run_cells`] — cell-granular: a deterministic parallel map over any
 //!   slice. The shard unit is one list element; results come back in list
 //!   order regardless of thread count or scheduling.
+//!   [`run_trials`](crate::runner::run_trials) is this map over a batch's
+//!   derived trial seeds.
 //! * [`run_specs`] — trial-granular: flattens a `ScenarioSpec` list into
 //!   one global trial work list (prefix sums over per-spec trial counts),
 //!   so stealing crosses cell boundaries and a long tail cell cannot
-//!   serialise the sweep. Workers claim fixed-size chunks of consecutive
-//!   global indices and derive each chunk's trial seeds in one batched
-//!   [`SeedSequence::children_into`] pass.
+//!   serialise the sweep. The pool's cells are fixed-size chunks of
+//!   consecutive global indices; each chunk derives its trial seeds in one
+//!   batched [`SeedSequence::children_into`] pass.
 //!
 //! ## Seed-fold invariant
 //!
-//! Trial `i` of spec `s` always runs on
-//! `SeedSequence::new(s.seeds.master).rng(i)` — byte-identical to
-//! [`ScenarioSpec::run_batch_raw`]'s derivation — and seeded adversaries
+//! Trial `i` of spec `s` always runs at seed
+//! `SeedSequence::new(s.seeds.master).child(i)` — the same derivation as
+//! [`run_trials`](crate::runner::run_trials) — and seeded adversaries
 //! still receive `master ^ i`. Work distribution therefore only reorders
 //! *wall-clock execution*, never any RNG stream: results are bit-identical
 //! across `Fixed(1)`, `Fixed(8)`, and `Auto` (certified by the tests
@@ -27,8 +28,8 @@
 //!
 //! ## Nested parallelism
 //!
-//! Executor workers mark their thread with the runner's `IN_WORKER` flag,
-//! so `Parallelism::Auto` *inside* a cell (e.g. a conformance cell's
+//! Pool workers mark their thread with the runner's `IN_WORKER` flag, so
+//! `Parallelism::Auto` *inside* a cell (e.g. a conformance cell's
 //! `run_batch_raw`) degrades to sequential instead of spawning cores²
 //! threads. `Fixed(n > 1)` at both tiers is honoured by name and therefore
 //! oversubscribes — callers that nest must pick one parallel tier
@@ -36,26 +37,27 @@
 //!
 //! ## Crash-safe control ([`run_cells_ctl`] / [`run_specs_ctl`])
 //!
-//! The `_ctl` variants accept a [`SpecsControl`] (deadline, same-seed
-//! retry budget, resume-skip predicate) and report **partial** results:
-//! every completed unit is `Some`, everything the deadline cut off or the
-//! skip predicate elided is `None`, and the run's `deadline_hit` flag
-//! says why. The run-level deadline is checked *between* work units —
-//! an in-flight trial or cell always finishes, so every `Some` is a
-//! deterministic, journal-safe result. A panicking trial is retried on
-//! its **same** derived seed up to `max_attempts` times, then quarantined
-//! ([`QuarantinedTrial`]) instead of aborting the sweep; the seed streams
-//! of every other trial are untouched either way.
+//! The `_ctl` variants accept a deadline (and, for specs, a
+//! [`SpecsControl`] with a same-seed retry budget and a resume-skip
+//! predicate) and report **partial** results: every completed unit is
+//! `Some`, everything the deadline cut off or the skip predicate elided is
+//! `None`, and the run's `deadline_hit` flag says why. The run-level
+//! deadline is checked *between* work units — an in-flight trial or cell
+//! always finishes, so every `Some` is a deterministic, journal-safe
+//! result. A panicking trial is retried on its **same** derived seed up to
+//! `max_attempts` times, then quarantined ([`QuarantinedTrial`]) instead
+//! of aborting the sweep; the seed streams of every other trial are
+//! untouched either way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use rcb_mathkit::rng::{RcbRng, SeedSequence};
+use rcb_mathkit::rng::SeedSequence;
 
 use crate::deadline::Deadline;
 use crate::error::{SimError, TrialFailure};
-use crate::runner::{enter_worker, panic_payload, Parallelism};
+use crate::runner::{enter_worker, Parallelism};
 use crate::scenario::{fnv1a, Outcome, ScenarioSpec, FNV_OFFSET};
 
 /// Trials claimed per cursor bump in [`run_specs`]. Small enough that a
@@ -152,10 +154,9 @@ pub struct CellsRun<T> {
 ///
 /// The shard unit is one element (a conformance cell, a perf scenario);
 /// distribution is dynamic via an atomic cursor, so expensive cells next
-/// to cheap ones balance across workers exactly like heterogeneous trials
-/// do in [`run_trials`](crate::runner::run_trials). Workers set the
-/// runner's `IN_WORKER` flag, so `Parallelism::Auto` inside `f` degrades
-/// to sequential. A panic in `f` propagates and aborts the map.
+/// to cheap ones balance across workers. Workers set the runner's
+/// `IN_WORKER` flag, so `Parallelism::Auto` inside `f` degrades to
+/// sequential. A panic in `f` propagates and aborts the map.
 pub fn run_cells<I, T, F>(items: &[I], parallelism: Parallelism, f: F) -> Vec<T>
 where
     I: Sync,
@@ -256,10 +257,9 @@ where
 /// sums map a global index back to `(spec, trial)`), so workers steal
 /// across cell boundaries: a sweep whose last cell is 10× the others keeps
 /// every core busy until the true end of the work, which cell-granular
-/// sharding cannot. Each trial runs with the exact
-/// [`run_batch_raw`](ScenarioSpec::run_batch_raw) seed derivation, so the
-/// grouped output is bit-identical to calling `run_batch_raw` per spec —
-/// at any thread count.
+/// sharding cannot. Trial `i` of a spec runs at its seed-sequence child
+/// `i`, so the grouped output is bit-identical at any thread count and to
+/// running each spec alone ([`ScenarioSpec::run_batch_raw`]).
 pub fn run_specs(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
@@ -284,11 +284,11 @@ pub fn run_specs(
 /// panicking trials — with **partial results reported**, never a silent
 /// clip.
 ///
-/// Every completed trial still runs on the exact
-/// [`run_batch_raw`](ScenarioSpec::run_batch_raw) seed derivation
-/// (retries re-create the RNG from the *same* child seed), so whatever
-/// subset completes is bit-identical to the corresponding trials of an
-/// uninterrupted run at any thread count.
+/// Every completed trial still runs at its seed-sequence child seed
+/// (retries re-run the *same* seed), so whatever subset completes is
+/// bit-identical to the corresponding trials of an uninterrupted run at
+/// any thread count. The pool's cells are chunks of `TRIAL_CHUNK` (16)
+/// consecutive global trial indices.
 pub fn run_specs_ctl(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
@@ -306,10 +306,12 @@ pub fn run_specs_ctl(
     let bounded = !ctl.deadline.is_unbounded();
     let hit = AtomicBool::new(false);
 
-    let run_chunk = |start: u64, end: u64, sink: &mut Vec<IndexedTrial>| {
+    // A chunk of consecutive global indices may straddle spec boundaries;
+    // split it into per-spec sub-ranges.
+    let run_chunk = |start: u64| -> Vec<IndexedTrial> {
+        let end = (start + TRIAL_CHUNK).min(total);
+        let mut sink = Vec::with_capacity((end - start) as usize);
         let mut g = start;
-        // A chunk of consecutive global indices may straddle spec
-        // boundaries; split it into per-spec sub-ranges.
         while g < end {
             let cell = offsets.partition_point(|&o| o <= g) - 1;
             let spec = &specs[cell];
@@ -322,64 +324,35 @@ pub fn run_specs_ctl(
                 let trial = first_trial + j as u64;
                 if bounded && ctl.deadline.exceeded() {
                     hit.store(true, Ordering::Relaxed);
-                    return;
+                    return sink;
                 }
                 if ctl.skip.is_some_and(|s| s(cell, trial)) {
                     continue;
                 }
-                let result = run_with_retries(seed, trial, ctl.max_attempts, |rng| {
+                let result = run_with_retries(seed, trial, ctl.max_attempts, |seed| {
                     let trial_dl = ctl
                         .trial_deadline
                         .map(Deadline::after)
                         .unwrap_or(Deadline::NONE);
-                    spec.run_trial_ctl(trial, rng, &trial_dl)
+                    spec.run_trial_ctl(trial, seed, &trial_dl)
                 });
                 sink.push((g + j as u64, result));
             }
             g = sub_end;
         }
+        sink
     };
 
-    let threads = parallelism
-        .threads()
-        .min(total.div_ceil(TRIAL_CHUNK).max(1) as usize);
-    let mut flat: Vec<IndexedTrial> = Vec::with_capacity(total as usize);
-    if threads <= 1 {
-        let mut start = 0;
-        while start < total && !hit.load(Ordering::Relaxed) {
-            let end = (start + TRIAL_CHUNK).min(total);
-            run_chunk(start, end, &mut flat);
-            start = end;
-        }
-    } else {
-        let cursor = AtomicU64::new(0);
-        let worker = |collected: &mut Vec<IndexedTrial>| {
-            enter_worker();
-            loop {
-                if hit.load(Ordering::Relaxed) {
-                    return;
-                }
-                let start = cursor.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                if start >= total {
-                    return;
-                }
-                run_chunk(start, (start + TRIAL_CHUNK).min(total), collected);
-            }
-        };
-        let mut per_worker: Vec<Vec<IndexedTrial>> = Vec::with_capacity(threads);
-        per_worker.resize_with(threads, Vec::new);
-        std::thread::scope(|scope| {
-            for collected in &mut per_worker {
-                scope.spawn(|| worker(collected));
-            }
-        });
-        flat = per_worker.into_iter().flatten().collect();
-    }
+    let chunks: Vec<u64> = (0..total).step_by(TRIAL_CHUNK as usize).collect();
+    let run = run_cells_ctl(&chunks, parallelism, &ctl.deadline, None, |_, &start| {
+        run_chunk(start)
+    });
+    let deadline_hit = run.deadline_hit || hit.load(Ordering::Relaxed);
 
     let mut slots: Vec<Option<(Outcome, Option<SimError>)>> = Vec::with_capacity(total as usize);
     slots.resize_with(total as usize, || None);
     let mut quarantined_flat: Vec<(u64, TrialFailure)> = Vec::new();
-    for (g, value) in flat {
+    for (g, value) in run.results.into_iter().flatten().flatten() {
         debug_assert!(slots[g as usize].is_none(), "trial {g} claimed twice");
         match value {
             Ok(result) => slots[g as usize] = Some(result),
@@ -411,27 +384,26 @@ pub fn run_specs_ctl(
     SpecsRun {
         results,
         quarantined,
-        deadline_hit: hit.load(Ordering::Relaxed),
+        deadline_hit,
     }
 }
 
 /// Runs one trial with a bounded **same-seed** retry policy: each attempt
-/// re-creates the RNG from the same derived child seed, so a success on
-/// any attempt is byte-identical to a first-try success and no other
-/// trial's stream moves. After `max_attempts` panics (`0` treated as
-/// `1`), the trial is given up with the attempt count recorded.
+/// re-runs the same derived child seed, so a success on any attempt is
+/// byte-identical to a first-try success and no other trial's stream
+/// moves. After `max_attempts` panics (`0` treated as `1`), the trial is
+/// given up with the attempt count recorded.
 fn run_with_retries<T>(
     seed: u64,
     trial: u64,
     max_attempts: u32,
-    run: impl Fn(&mut RcbRng) -> T,
+    run: impl Fn(u64) -> T,
 ) -> Result<T, TrialFailure> {
     let max_attempts = max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let mut rng = RcbRng::new(seed);
-        match catch_unwind(AssertUnwindSafe(|| run(&mut rng))) {
+        match catch_unwind(AssertUnwindSafe(|| run(seed))) {
             Ok(value) => return Ok(value),
             Err(payload) if attempt >= max_attempts => {
                 let mut failure = TrialFailure::new(trial, panic_payload(payload));
@@ -441,6 +413,50 @@ fn run_with_retries<T>(
             Err(_) => {}
         }
     }
+}
+
+/// Renders a panic payload the way the default hook does: `&str` and
+/// `String` payloads verbatim. Non-string payloads are probed against the
+/// types a simulation harness plausibly throws — [`SimError`], I/O
+/// errors, numbers — and rendered as `TypeName: value` so the failure
+/// report names *what* was thrown instead of collapsing every typed
+/// payload to the same opaque line.
+fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
+    let payload = match payload.downcast::<String>() {
+        Ok(s) => return *s,
+        Err(p) => p,
+    };
+    let payload = match payload.downcast::<&'static str>() {
+        Ok(s) => return (*s).to_string(),
+        Err(p) => p,
+    };
+    macro_rules! probe {
+        ($p:expr, $($ty:ty),+ $(,)?) => {{
+            let p = $p;
+            $(let p = match p.downcast::<$ty>() {
+                Ok(v) => return format!("{}: {}", stringify!($ty), *v),
+                Err(p) => p,
+            };)+
+            p
+        }};
+    }
+    use crate::error::SimError;
+    use std::io::Error as IoError;
+    let _ = probe!(
+        payload,
+        SimError,
+        TrialFailure,
+        IoError,
+        i32,
+        u32,
+        i64,
+        u64,
+        usize,
+        f64,
+        bool,
+        char,
+    );
+    "non-string panic payload".to_string()
 }
 
 /// Per-spec FNV-1a batch checksums over [`run_specs`] results: each spec's
@@ -467,6 +483,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::scenario::{AdversarySpec, DuelProtocol, Engine};
+    use rcb_mathkit::rng::RcbRng;
 
     /// A heterogeneous spec list: jammed fast duel, faulted duel, fast
     /// broadcast, exact-engine duel — mixed workloads, engines, fault
@@ -528,14 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn run_specs_matches_per_spec_run_batch_raw() {
+    fn run_specs_matches_per_spec_trials() {
+        // Chunks straddling spec boundaries must not perturb any trial:
+        // the sweep equals each spec's trials run one by one at their
+        // seed-sequence children.
         let specs = mixed_specs();
         let stolen = run_specs(&specs, Parallelism::Fixed(4));
         for (spec, batch) in specs.iter().zip(&stolen) {
-            let direct = spec
-                .clone()
-                .with_parallelism(Parallelism::Fixed(1))
-                .run_batch_raw();
+            let seeds = SeedSequence::new(spec.seeds.master);
+            let direct: Vec<_> = (0..spec.trials)
+                .map(|i| spec.run_trial_ctl(i, seeds.child(i), &Deadline::NONE))
+                .collect();
             assert_eq!(batch, &direct, "executor perturbed a trial stream");
         }
     }
@@ -702,11 +722,11 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         // Flaky once: the second attempt must replay the identical stream.
         let calls = AtomicU32::new(0);
-        let ok = run_with_retries(77, 3, 3, |rng| {
+        let ok = run_with_retries(77, 3, 3, |seed| {
             if calls.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("flaky once");
             }
-            rng.below(1 << 30)
+            RcbRng::new(seed).below(1 << 30)
         })
         .expect("the second same-seed attempt succeeds");
         assert_eq!(calls.load(Ordering::Relaxed), 2);
@@ -771,5 +791,26 @@ mod tests {
         let payload = caught.expect_err("the panic must propagate");
         let msg = panic_payload(payload);
         assert!(msg.contains("boom in cell 1"), "got: {msg}");
+    }
+
+    #[test]
+    fn typed_panic_payloads_keep_their_type_names() {
+        let render = |f: fn()| panic_payload(std::panic::catch_unwind(f).expect_err("panicked"));
+        let sim = render(|| {
+            std::panic::panic_any(SimError::SlotBudgetExhausted {
+                max_slots: 8,
+                slots: 8,
+            })
+        });
+        assert!(
+            sim.starts_with("SimError: slot budget exhausted"),
+            "got: {sim}"
+        );
+        assert_eq!(render(|| std::panic::panic_any(42u64)), "u64: 42");
+        // An unprobed type stays opaque.
+        assert_eq!(
+            render(|| std::panic::panic_any(vec![1u8])),
+            "non-string panic payload"
+        );
     }
 }

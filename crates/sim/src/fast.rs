@@ -29,6 +29,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::BroadcastOutcome;
+use crate::session::Session;
 
 /// Limits for the fast broadcast engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -68,139 +69,9 @@ impl BroadcastObserver for () {
     fn on_repetition(&mut self, _: u32, _: u64, _: u64, _: &[OneToNNode]) {}
 }
 
-/// Runs one 1-to-n execution: node 0 is the designated sender.
-///
-/// ```
-/// use rcb_sim::fast::{run_broadcast, FastConfig};
-/// use rcb_adversary::rep_strategies::NoJamRep;
-/// use rcb_core::one_to_n::OneToNParams;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let params = OneToNParams::practical();
-/// let mut rng = RcbRng::new(7);
-/// let out = run_broadcast(&params, 16, &mut NoJamRep, &mut rng, FastConfig::default());
-/// assert!(out.all_informed && out.all_terminated);
-/// ```
-pub fn run_broadcast(
-    params: &OneToNParams,
-    n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-) -> BroadcastOutcome {
-    run_broadcast_from(params, n, &[0], adversary, rng, config, &mut ())
-}
-
-/// [`run_broadcast`] with a per-repetition observer.
-pub fn run_broadcast_observed(
-    params: &OneToNParams,
-    n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-) -> BroadcastOutcome {
-    run_broadcast_from(params, n, &[0], adversary, rng, config, observer)
-}
-
-/// Multi-source variant: every node in `sources` starts informed.
-///
-/// Figure 2 never uses the fact that exactly one node holds `m` initially —
-/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
-/// explicitly tracks a growing `A`). Multiple sources simply shorten the
-/// dissemination phase; rates, helper logic, and termination are untouched.
-pub fn run_broadcast_from(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-) -> BroadcastOutcome {
-    run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_broadcast_from`] with a fault-injection plan (see
-/// [`crate::faults`]) layered between the channel and the receivers.
-///
-/// Semantics match the exact engine: crashed and battery-dead nodes are
-/// radio-off (no sampling, no coin flips) while their protocol clock keeps
-/// ticking through zero-count repetition epilogues; the loss coin is drawn
-/// only on decodable `m` receptions; skewed boundary slots decode as noise;
-/// the battery gauge is sampled at repetition boundaries, so overshoot is
-/// at most one repetition of activity. Battery-dead nodes count as halted
-/// for the completion check.
-#[allow(clippy::too_many_arguments)]
-pub fn run_broadcast_faulted(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-) -> BroadcastOutcome {
-    run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        faults,
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_broadcast_faulted`] that reports budget exhaustion as a typed
-/// [`SimError`] instead of a silent `truncated = true`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_broadcast_checked(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-) -> Result<BroadcastOutcome, SimError> {
-    match run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        faults,
-        &Deadline::NONE,
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
-}
-
 /// Retained per-run state of the fast broadcast engine: the node state
 /// machines, cost/fault bookkeeping, and every reusable sampling buffer.
-/// One `FastState` serves a whole [`BroadcastSession`]; the legacy entry
-/// points build a fresh one per run, so both paths execute the identical
-/// loop body.
+/// One `FastState` serves a whole [`BroadcastSession`].
 #[derive(Debug)]
 struct FastState {
     nodes: Vec<OneToNNode>,
@@ -254,10 +125,39 @@ impl FastState {
 }
 
 /// A re-armable fast-broadcast session: one set of allocations (node
-/// vector, cost counters, sampling buffers) serves a stream of runs.
-/// [`rearm`](Self::rearm) returns everything to the just-constructed
+/// vector, cost counters, sampling buffers) serves a stream of 1-to-n
+/// executions in which every node in `sources` starts informed.
+/// [`rearm`](Session::rearm) returns everything to the just-constructed
 /// state in place; the golden equivalence suite pins that a re-armed run
-/// is bit-identical to a fresh [`run_broadcast_from`] at the same seed.
+/// is bit-identical to a fresh session at the same seed.
+///
+/// Figure 2 never uses the fact that exactly one node holds `m` initially —
+/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
+/// explicitly tracks a growing `A`). Multiple sources simply shorten the
+/// dissemination phase; rates, helper logic, and termination are untouched.
+///
+/// Fault semantics match the exact engine: crashed and battery-dead nodes
+/// are radio-off (no sampling, no coin flips) while their protocol clock
+/// keeps ticking through zero-count repetition epilogues; the loss coin is
+/// drawn only on decodable `m` receptions; skewed boundary slots decode as
+/// noise; the battery gauge is sampled at repetition boundaries, so
+/// overshoot is at most one repetition of activity. Battery-dead nodes
+/// count as halted for the completion check.
+///
+/// ```
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::fast::{BroadcastSession, FastConfig};
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
+/// use rcb_adversary::rep_strategies::NoJamRep;
+/// use rcb_core::one_to_n::OneToNParams;
+///
+/// let params = OneToNParams::practical();
+/// let config = FastConfig::default();
+/// let mut session = BroadcastSession::new(params, 16, vec![0], config, FaultPlan::none(), 7);
+/// let (out, err) = session.run(&mut NoJamRep, &Deadline::NONE);
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
+/// ```
 #[derive(Debug)]
 pub struct BroadcastSession {
     params: OneToNParams,
@@ -269,6 +169,10 @@ pub struct BroadcastSession {
 }
 
 impl BroadcastSession {
+    /// # Panics
+    ///
+    /// Panics on `n == 0`, an empty or out-of-range `sources` list, or an
+    /// invalid fault plan.
     pub fn new(
         params: OneToNParams,
         n: usize,
@@ -289,17 +193,36 @@ impl BroadcastSession {
         }
     }
 
-    /// Re-arms the session to slot 0 on a fresh RNG stream, reusing every
-    /// allocation.
-    pub fn rearm(&mut self, seed: u64) {
+    /// [`Session::run`] with a per-repetition observer and no deadline:
+    /// `observer` sees every repetition epilogue with the full node states
+    /// (the dynamics and dissemination probes, and calibration tooling).
+    pub fn run_observed(
+        &mut self,
+        adversary: &mut dyn RepetitionAdversary,
+        observer: &mut dyn BroadcastObserver,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        run_broadcast_in(
+            &mut self.state,
+            &self.params,
+            adversary,
+            &mut self.rng,
+            self.config,
+            observer,
+            &self.faults,
+            &Deadline::NONE,
+        )
+    }
+}
+
+impl Session for BroadcastSession {
+    type Outcome = BroadcastOutcome;
+
+    fn rearm(&mut self, seed: u64) {
         self.state.rearm(&self.params, &self.sources);
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG. The
-    /// session must be armed (just constructed, or [`rearm`](Self::rearm)
-    /// since the previous run).
-    pub fn run(
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -315,24 +238,6 @@ impl BroadcastSession {
             deadline,
         )
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_broadcast_core(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = FastState::new(params, n, sources);
-    run_broadcast_in(
-        &mut state, params, adversary, rng, config, observer, faults, deadline,
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -600,20 +505,48 @@ fn slot_in_own_sends(send_events: &[(u64, u32)], t: u64, u: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
+    use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep, SuffixFractionRep};
 
     fn params() -> OneToNParams {
         OneToNParams::practical()
+    }
+
+    /// One run of a freshly constructed session at `seed`.
+    fn bcast(
+        n: usize,
+        sources: &[usize],
+        adversary: &mut dyn RepetitionAdversary,
+        seed: u64,
+        config: FastConfig,
+        faults: FaultPlan,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        BroadcastSession::new(params(), n, sources.to_vec(), config, faults, seed)
+            .run(adversary, &Deadline::NONE)
+    }
+
+    /// [`bcast`] from node 0 with the default config and no faults.
+    fn clean(n: usize, adversary: &mut dyn RepetitionAdversary, seed: u64) -> BroadcastOutcome {
+        bcast(
+            n,
+            &[0],
+            adversary,
+            seed,
+            FastConfig::default(),
+            FaultPlan::none(),
+        )
+        .0
+    }
+
+    /// [`bcast`] from node 0, unjammed, under `faults`.
+    fn faulted(n: usize, seed: u64, faults: FaultPlan) -> BroadcastOutcome {
+        bcast(n, &[0], &mut NoJamRep, seed, FastConfig::default(), faults).0
     }
 
     #[test]
     fn single_node_terminates_alone() {
         // n = 1: the sender hears only silence, S grows, and the safety
         // valve or helper logic must terminate it with bounded cost.
-        let p = params();
-        let mut rng = RcbRng::new(1);
-        let mut adv = NoJamRep;
-        let out = run_broadcast(&p, 1, &mut adv, &mut rng, FastConfig::default());
+        let out = clean(1, &mut NoJamRep, 1);
         assert!(out.all_terminated, "last epoch {}", out.last_epoch);
         assert!(out.all_informed);
         assert!(!out.truncated);
@@ -621,13 +554,10 @@ mod tests {
 
     #[test]
     fn unjammed_broadcast_informs_everyone() {
-        let p = params();
         let mut ok = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            let out = run_broadcast(&p, 16, &mut adv, &mut rng, FastConfig::default());
+            let out = clean(16, &mut NoJamRep, seed);
             assert!(
                 !out.truncated,
                 "seed {seed}: truncated at epoch {}",
@@ -642,12 +572,9 @@ mod tests {
 
     #[test]
     fn termination_happens_near_the_ideal_epoch() {
-        let p = params();
         let n = 32;
-        let mut rng = RcbRng::new(3);
-        let mut adv = NoJamRep;
-        let out = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
-        let ideal = p.ideal_epoch(n);
+        let out = clean(n, &mut NoJamRep, 3);
+        let ideal = params().ideal_epoch(n);
         assert!(
             out.last_epoch <= ideal + 3,
             "terminated at epoch {} vs ideal {ideal}",
@@ -657,19 +584,13 @@ mod tests {
 
     #[test]
     fn jamming_charges_adversary_and_inflates_cost() {
-        let p = params();
         let n = 16;
-        let mut rng = RcbRng::new(4);
-        let mut adv_free = NoJamRep;
-        let free = run_broadcast(&p, n, &mut adv_free, &mut rng, FastConfig::default());
-
-        let mut rng = RcbRng::new(4);
+        let free = clean(n, &mut NoJamRep, 4);
         // T must comfortably exceed the unjammed slot total: at comparable
         // budgets blanket jamming can even *reduce* node cost (blocked
         // epochs suppress the expensive growth-phase listening).
         let budget = 16 * free.slots;
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let jammed = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
+        let jammed = clean(n, &mut BudgetedRepBlocker::new(budget, 1.0), 4);
         assert!(jammed.adversary_cost > 0);
         assert!(
             jammed.max_cost() > free.max_cost(),
@@ -685,17 +606,12 @@ mod tests {
     fn per_node_cost_shrinks_as_n_grows() {
         // The headline of Theorem 3: bigger systems pay less per node under
         // the same attack budget.
-        let p = params();
         let budget = 2_000_000u64;
         let mean_cost = |n: usize, seed: u64| {
-            let mut total = 0.0;
             let trials = 3;
-            for s in 0..trials {
-                let mut rng = RcbRng::new(seed + s);
-                let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-                let out = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
-                total += out.mean_cost();
-            }
+            let total: f64 = (0..trials)
+                .map(|s| clean(n, &mut BudgetedRepBlocker::new(budget, 1.0), seed + s).mean_cost())
+                .sum();
             total / trials as f64
         };
         let small = mean_cost(8, 10);
@@ -718,36 +634,31 @@ mod tests {
 
     #[test]
     fn multi_source_broadcast_informs_and_is_no_slower() {
-        let p = params();
         let n = 24;
         let mut single_slots = 0u64;
         let mut multi_slots = 0u64;
         let trials = 6;
+        let config = FastConfig::default();
         for seed in 0..trials {
-            let mut rng = RcbRng::new(400 + seed);
-            let mut adv = NoJamRep;
-            let out = run_broadcast_from(
-                &p,
+            let (out, _) = bcast(
                 n,
                 &[0],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
+                &mut NoJamRep,
+                400 + seed,
+                config,
+                FaultPlan::none(),
             );
             assert!(out.all_informed);
             single_slots += out.slots;
 
-            let mut rng = RcbRng::new(800 + seed);
-            let mut adv = NoJamRep;
-            let out = run_broadcast_from(
-                &p,
+            let sources = [0, 5, 11, 17];
+            let (out, _) = bcast(
                 n,
-                &[0, 5, 11, 17],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
+                &sources,
+                &mut NoJamRep,
+                800 + seed,
+                config,
+                FaultPlan::none(),
             );
             assert!(out.all_informed);
             assert!(out.informed == n);
@@ -764,110 +675,43 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_source_panics() {
-        let p = params();
-        let mut rng = RcbRng::new(1);
-        let mut adv = NoJamRep;
-        run_broadcast_from(
-            &p,
+        bcast(
             4,
             &[4],
-            &mut adv,
-            &mut rng,
+            &mut NoJamRep,
+            1,
             FastConfig::default(),
-            &mut (),
+            FaultPlan::none(),
         );
     }
 
     #[test]
-    fn epoch_cap_truncates() {
+    fn epoch_cap_truncates_with_a_typed_error() {
         let p = params();
-        let mut rng = RcbRng::new(5);
         // Unlimited full blocking: nobody can ever terminate.
-        let mut adv = rcb_adversary::rep_strategies::SuffixFractionRep::new(1.0);
-        let out = run_broadcast(
-            &p,
-            4,
-            &mut adv,
-            &mut rng,
-            FastConfig {
-                max_epoch: p.first_epoch + 2,
-            },
-        );
+        let mut adv = SuffixFractionRep::new(1.0);
+        let config = FastConfig {
+            max_epoch: p.first_epoch + 2,
+        };
+        let (out, err) = bcast(4, &[0], &mut adv, 5, config, FaultPlan::none());
         assert!(out.truncated);
         assert!(!out.all_terminated);
         assert_eq!(out.last_epoch, p.first_epoch + 2);
-    }
-
-    #[test]
-    fn checked_run_reports_epoch_cap_as_typed_error() {
-        let p = params();
-        let mut rng = RcbRng::new(5);
-        let mut adv = rcb_adversary::rep_strategies::SuffixFractionRep::new(1.0);
-        let err = run_broadcast_checked(
-            &p,
-            4,
-            &[0],
-            &mut adv,
-            &mut rng,
-            FastConfig {
-                max_epoch: p.first_epoch + 2,
-            },
-            &mut (),
-            &FaultPlan::none(),
-        )
-        .expect_err("fully blocked nodes never terminate");
         assert!(matches!(
             err,
-            SimError::EpochBudgetExhausted { max_epoch, .. } if max_epoch == p.first_epoch + 2
+            Some(SimError::EpochBudgetExhausted { max_epoch, .. }) if max_epoch == p.first_epoch + 2
         ));
     }
 
     #[test]
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
-        let p = params();
-        let mut rng = RcbRng::new(7);
-        let (out, err) = run_broadcast_core(
-            &p,
-            16,
-            &[0],
-            &mut NoJamRep,
-            &mut rng,
-            FastConfig::default(),
-            &mut (),
-            &FaultPlan::none(),
-            &Deadline::after(std::time::Duration::ZERO),
-        );
+        let config = FastConfig::default();
+        let mut session =
+            BroadcastSession::new(params(), 16, vec![0], config, FaultPlan::none(), 7);
+        let (out, err) = session.run(&mut NoJamRep, &Deadline::after(std::time::Duration::ZERO));
         assert!(out.truncated);
         assert_eq!(out.slots, 0, "checkpoint fires before the first repetition");
         assert_eq!(err, Some(SimError::DeadlineExceeded { slots: 0 }));
-    }
-
-    #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let p = params();
-        for seed in 0..10u64 {
-            let mut rng_a = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let plain = run_broadcast(&p, 12, &mut adv, &mut rng_a, FastConfig::default());
-
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let faulted = run_broadcast_faulted(
-                &p,
-                12,
-                &[0],
-                &mut adv,
-                &mut rng_b,
-                FastConfig::default(),
-                &mut (),
-                &FaultPlan::none(),
-            );
-            assert_eq!(plain.node_costs, faulted.node_costs, "seed {seed}");
-            assert_eq!(plain.slots, faulted.slots, "seed {seed}");
-            assert_eq!(plain.informed, faulted.informed, "seed {seed}");
-            assert_eq!(plain.adversary_cost, faulted.adversary_cost);
-            assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams must not diverge");
-        }
     }
 
     #[test]
@@ -876,22 +720,10 @@ mod tests {
         // volatile state wiped. The informed helpers keep transmitting m,
         // so the rebooted node relearns it: dissemination degrades
         // gracefully instead of wedging.
-        let p = params();
         let mut informed_runs = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(900 + seed);
-            let mut adv = NoJamRep;
-            let out = run_broadcast_faulted(
-                &p,
-                8,
-                &[0],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
-                &FaultPlan::none().with_crash(3, 2, 6, true),
-            );
+            let out = faulted(8, 900 + seed, FaultPlan::none().with_crash(3, 2, 6, true));
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -907,22 +739,10 @@ mod tests {
     fn lossy_reception_degrades_gracefully() {
         // 20% receiver-side loss slows dissemination but must not produce
         // a cliff: most runs still inform everyone.
-        let p = params();
         let mut informed_runs = 0;
         let trials = 10;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(300 + seed);
-            let mut adv = NoJamRep;
-            let out = run_broadcast_faulted(
-                &p,
-                16,
-                &[0],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
-                &FaultPlan::none().with_loss(0.2),
-            );
+            let out = faulted(16, 300 + seed, FaultPlan::none().with_loss(0.2));
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -936,23 +756,8 @@ mod tests {
 
     #[test]
     fn battery_brownout_caps_node_cost() {
-        let p = params();
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJamRep;
-        let plain = run_broadcast(&p, 8, &mut adv, &mut rng, FastConfig::default());
-
-        let mut rng = RcbRng::new(9);
-        let mut adv = NoJamRep;
-        let capped = run_broadcast_faulted(
-            &p,
-            8,
-            &[0],
-            &mut adv,
-            &mut rng,
-            FastConfig::default(),
-            &mut (),
-            &FaultPlan::none().with_battery(20),
-        );
+        let plain = faulted(8, 9, FaultPlan::none());
+        let capped = faulted(8, 9, FaultPlan::none().with_battery(20));
         assert!(!capped.truncated, "dead nodes count as halted");
         assert!(
             capped.max_cost() < plain.max_cost(),
@@ -960,5 +765,25 @@ mod tests {
             capped.max_cost(),
             plain.max_cost()
         );
+    }
+
+    /// Counts repetition epilogues.
+    struct CountingObserver(u64);
+
+    impl BroadcastObserver for CountingObserver {
+        fn on_repetition(&mut self, _: u32, _: u64, _: u64, _: &[OneToNNode]) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn an_observer_sees_every_repetition_and_changes_nothing() {
+        let config = FastConfig::default();
+        let mut session =
+            BroadcastSession::new(params(), 8, vec![0], config, FaultPlan::none(), 11);
+        let mut observer = CountingObserver(0);
+        let (observed, _) = session.run_observed(&mut NoJamRep, &mut observer);
+        assert!(observer.0 > 0);
+        assert_eq!(observed, clean(8, &mut NoJamRep, 11));
     }
 }

@@ -1,14 +1,14 @@
 //! # rcb-sim
 //!
-//! Simulation engines and the Monte-Carlo trial runner.
+//! Simulation engines, re-armable sessions, and the trial executor.
 //!
-//! Two engines execute protocols against adversaries:
+//! Three kinds of engine execute protocols against adversaries:
 //!
 //! * [`exact`] — the reference engine: every slot is resolved through
 //!   `rcb_channel::resolve_slot` for an arbitrary set of
 //!   [`SlotProtocol`](rcb_core::protocol::SlotProtocol) nodes and a
 //!   [`SlotAdversary`](rcb_adversary::SlotAdversary). Faithful and general,
-//!   cost `O(slots · n)`.
+//!   cost `O(slots · n)`; its one entry point is [`exact::run_exact`].
 //! * [`duel`] / [`fast`] — the production engines: they exploit the
 //!   protocols' period structure to sample only the *events* (sends,
 //!   listens) instead of iterating silent slots. The sampling is exact —
@@ -16,26 +16,30 @@
 //!   positions, implemented by geometric skips in `rcb-mathkit` — so these
 //!   engines agree with [`exact`] in distribution; integration tests
 //!   cross-validate them.
+//! * [`cohort`] — the population-compressed 1-to-n engine for large n.
 //!
-//! [`runner`] fans trials out over threads (std scoped threads, one
-//! deterministic RNG stream per trial); [`executor`] generalises the same
-//! deterministic work-stealing pattern to heterogeneous work lists —
-//! cell-granular ([`executor::run_cells`]) and trial-granular across a
-//! whole `ScenarioSpec` sweep ([`executor::run_specs`]) — and
-//! [`lowerbound`] packages the Theorem 2 / Theorem 5 measurement games.
+//! The duel, fast-broadcast and cohort engines are driven only through
+//! their [`session`]s ([`duel::DuelSession`], [`fast::BroadcastSession`],
+//! [`cohort::CohortSession`]): construct at a seed, [`Session::run`],
+//! [`Session::rearm`] for the next run.
+//!
+//! [`executor`] is the crate's one thread pool: a deterministic
+//! work-stealing map over heterogeneous work lists — cell-granular
+//! ([`executor::run_cells`]) and trial-granular across a whole
+//! `ScenarioSpec` sweep ([`executor::run_specs`]); [`runner::run_trials`]
+//! maps a batch's derived trial seeds through it. [`lowerbound`] packages
+//! the Theorem 2 / Theorem 5 measurement games.
 //!
 //! [`faults`] layers deterministic, seeded *non-adversarial* failures —
 //! lossy reception, crash–restart, clock skew, battery brownout — under
-//! every engine via the `*_faulted` entry points; [`error`] carries the
-//! typed harness failures ([`SimError`], [`TrialFailure`]) surfaced by the
-//! `*_checked` entry points and [`runner::run_trials_isolated`].
+//! every engine via each session's (or [`exact::run_exact`]'s) fault plan;
+//! [`error`] carries the typed harness failures ([`SimError`],
+//! [`TrialFailure`]) every run reports next to its outcome.
 //!
 //! [`scenario`] is the **canonical front door**: a declarative
 //! [`ScenarioSpec`] (workload, engine, adversary, faults, seed policy,
-//! trials) with one checked run path that subsumes the per-engine
-//! `run_*`/`_faulted`/`_checked` entry-point matrix. New code should build
-//! a spec; the legacy entry points remain as thin wrappers over the same
-//! cores for callers that already hold protocol/adversary instances.
+//! trials) whose trial entry point takes the trial's seed, builds the
+//! engine's session at that seed, and runs it.
 //!
 //! The crash-safety layer rides on top: [`deadline`] threads a cooperative
 //! [`Deadline`]/cancellation token through the executor and the engine
@@ -63,33 +67,28 @@ pub mod runner;
 pub mod scenario;
 pub mod session;
 
-pub use cohort::{
-    run_cohort, run_cohort_checked, run_cohort_faulted, run_cohort_from, run_cohort_instrumented,
-    CohortConfig, CohortStats,
-};
+pub use cohort::{run_cohort_instrumented, CohortConfig, CohortSession, CohortStats};
 pub use conformance::{
     default_grid, run_grid, BroadcastCell, ConformanceConfig, DuelCell, GridReport,
 };
 pub use deadline::{install_sigint_handler, interrupted, Deadline};
-pub use duel::{run_duel, run_duel_checked, run_duel_faulted, DuelConfig};
+pub use duel::{DuelConfig, DuelSession};
 pub use error::{SimError, TrialFailure};
-pub use exact::{run_exact, run_exact_checked, run_exact_faulted, ExactConfig, ExactOutcome};
+pub use exact::{run_exact, ExactConfig, ExactOutcome};
 pub use executor::{
     batch_checksums, run_cells, run_cells_ctl, run_specs, run_specs_ctl, CellsRun,
     QuarantinedTrial, SpecsControl, SpecsRun,
 };
-pub use fast::{
-    run_broadcast, run_broadcast_checked, run_broadcast_faulted, run_broadcast_from,
-    run_broadcast_observed, BroadcastObserver, FastConfig,
-};
+pub use fast::{BroadcastObserver, BroadcastSession, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
 pub use journal::{Journal, JournalError, JournalHeader};
 pub use json::Json;
 pub use outcome::{BroadcastOutcome, DuelOutcome};
 pub use reduction::{simulate_reduction, ReductionOutcome};
-pub use runner::{run_trials, run_trials_isolated, Parallelism};
+pub use runner::{run_trials, Parallelism};
 pub use scenario::{
     find_scenario, fnv1a, fnv1a_bytes, registry, AdversarySpec, BroadcastWorkload, DuelProtocol,
     DuelWorkload, Engine, NamedScenario, Outcome, ScenarioSpec, SeedPolicy, Workload,
     FAST_STREAM_SALT, FNV_OFFSET,
 };
+pub use session::{ExactBroadcastSession, Session};

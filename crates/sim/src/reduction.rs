@@ -19,12 +19,14 @@
 
 use rcb_adversary::rep_strategies::BudgetedRepBlocker;
 use rcb_core::one_to_n::OneToNParams;
-use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 
-use crate::fast::{run_broadcast, FastConfig};
+use crate::deadline::Deadline;
+use crate::fast::{BroadcastSession, FastConfig};
+use crate::faults::FaultPlan;
 use crate::runner::{run_trials, Parallelism};
+use crate::session::Session;
 
 /// Aggregated outcome of running the reduction over many trials.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -63,9 +65,12 @@ pub fn simulate_reduction(
         n >= 2,
         "the reduction needs a sender and at least one receiver"
     );
-    let outcomes = run_trials(trials, seed, Parallelism::Auto, |_, rng: &mut RcbRng| {
+    let outcomes = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
+        let config = FastConfig::default();
+        let mut session =
+            BroadcastSession::new(*params, n, vec![0], config, FaultPlan::none(), seed);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_broadcast(params, n, &mut adv, rng, FastConfig::default())
+        session.run(&mut adv, &Deadline::NONE).0
     });
 
     let mut sender = RunningStats::new();

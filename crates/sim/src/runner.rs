@@ -1,37 +1,32 @@
-//! Parallel Monte-Carlo trial runner.
+//! Parallel Monte-Carlo trials and the thread-count policy.
 //!
 //! Expected-cost estimates need hundreds of independent executions per
-//! parameter cell. [`run_trials`] fans trial indices out over `std::thread`
-//! scoped workers; every trial gets its own deterministic RNG stream
-//! derived from `(master_seed, trial_index)` via
-//! [`SeedSequence`], so results are
+//! parameter cell. [`run_trials`] derives every trial's seed from
+//! `(master_seed, trial_index)` via [`SeedSequence`] and maps the trials
+//! through the executor's pool ([`run_cells`]), so results are
 //! bit-identical regardless of thread count or scheduling.
 
-use rcb_mathkit::rng::{RcbRng, SeedSequence};
+use rcb_mathkit::rng::SeedSequence;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::error::TrialFailure;
+use crate::executor::run_cells;
 
 thread_local! {
-    /// Set while this OS thread is executing trials as a `run_trials`
-    /// worker. Nested runners consult it so that `Parallelism::Auto`
-    /// inside a trial closure (the conformance grid does this per cell)
-    /// degrades to sequential instead of spawning cores² threads.
+    /// Set while this OS thread is an executor pool worker. Nested runs
+    /// consult it so that `Parallelism::Auto` inside a trial or cell
+    /// closure (the conformance grid does this per cell) degrades to
+    /// sequential instead of spawning cores² threads.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Marks the current thread as a worker for the rest of its lifetime.
 /// Worker threads are short-lived scoped threads, so there is no paired
-/// exit: the flag dies with the thread. The cell-granular executor
-/// ([`crate::executor`]) shares the runner's flag so nested `Auto`
-/// parallelism degrades identically whichever tier spawned the worker.
+/// exit: the flag dies with the thread.
 pub(crate) fn enter_worker() {
     IN_WORKER.with(|w| w.set(true));
 }
 
-/// Whether the current thread is a runner/executor worker.
+/// Whether the current thread is an executor pool worker.
 pub(crate) fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -40,8 +35,8 @@ pub(crate) fn in_worker() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// One worker per available CPU — or sequential when the caller is
-    /// itself a `run_trials` worker (every core is already busy running
-    /// sibling trials, so fanning out again only oversubscribes).
+    /// itself a pool worker (every core is already busy running sibling
+    /// trials, so fanning out again only oversubscribes).
     Auto,
     /// Exactly this many workers (1 = sequential). Unlike
     /// [`Auto`](Parallelism::Auto), a
@@ -67,175 +62,72 @@ impl Parallelism {
 }
 
 /// Runs `trials` independent executions of `f` and returns the results in
-/// trial order. `f` receives the trial index and a private RNG.
+/// trial order. `f` receives the trial index and the trial's seed,
+/// `SeedSequence::new(master_seed).child(i)` — the seed a session (or an
+/// `RcbRng::new(seed)` stream) is built from.
 ///
-/// Work is distributed dynamically (an atomic cursor), so heterogeneous
-/// trial durations — long jammed runs next to short clean ones — balance
-/// across workers. Each worker accumulates `(index, value)` pairs locally
-/// and the pairs are merged once at the end: no shared results lock, and
-/// the output is a pure function of `(trials, master_seed, f)`.
+/// The trials are cells of [`run_cells`]: distribution is dynamic, so
+/// heterogeneous trial durations balance across workers, and the output is
+/// a pure function of `(trials, master_seed, f)`. A panic in `f`
+/// propagates.
 pub fn run_trials<T, F>(trials: u64, master_seed: u64, parallelism: Parallelism, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(u64, &mut RcbRng) -> T + Sync,
+    F: Fn(u64, u64) -> T + Sync,
 {
-    run_trials_isolated(trials, master_seed, parallelism, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(failure) => panic!("{failure}"),
-        })
-        .collect()
-}
-
-/// [`run_trials`] with per-trial panic isolation: a trial whose closure
-/// panics yields an `Err(`[`TrialFailure`]`)` carrying the trial index and
-/// the stringified panic payload, while every other trial completes
-/// normally (and bit-identically to a clean run — each trial's RNG stream
-/// is independent, so a poisoned trial cannot perturb its neighbours).
-///
-/// One poisoned parameter cell in a long sweep then costs one row, not the
-/// whole run. Use [`run_trials`] when a panic should abort the sweep.
-pub fn run_trials_isolated<T, F>(
-    trials: u64,
-    master_seed: u64,
-    parallelism: Parallelism,
-    f: F,
-) -> Vec<Result<T, TrialFailure>>
-where
-    T: Send,
-    F: Fn(u64, &mut RcbRng) -> T + Sync,
-{
-    let threads = parallelism.threads().min(trials.max(1) as usize);
-    let seeds = SeedSequence::new(master_seed);
-    let run_one = |i: u64| -> Result<T, TrialFailure> {
-        let mut rng = seeds.rng(i);
-        catch_unwind(AssertUnwindSafe(|| f(i, &mut rng)))
-            .map_err(|payload| TrialFailure::new(i, panic_payload(payload)))
-    };
-
-    if threads <= 1 {
-        return (0..trials).map(run_one).collect();
-    }
-
-    let cursor = AtomicU64::new(0);
-    let worker = |collected: &mut Vec<(u64, Result<T, TrialFailure>)>| {
-        enter_worker();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= trials {
-                return;
-            }
-            collected.push((i, run_one(i)));
-        }
-    };
-
-    let mut per_worker: Vec<Vec<(u64, Result<T, TrialFailure>)>> = Vec::with_capacity(threads);
-    per_worker.resize_with(threads, Vec::new);
-    std::thread::scope(|scope| {
-        for collected in &mut per_worker {
-            scope.spawn(|| worker(collected));
-        }
-    });
-
-    let mut slots: Vec<Option<Result<T, TrialFailure>>> = Vec::with_capacity(trials as usize);
-    slots.resize_with(trials as usize, || None);
-    for (i, value) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[i as usize].is_none(), "trial {i} claimed twice");
-        slots[i as usize] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|v| v.expect("every trial index was claimed exactly once"))
-        .collect()
-}
-
-/// Renders a panic payload the way the default hook does: `&str` and
-/// `String` payloads verbatim. Non-string payloads are probed against the
-/// types a simulation harness plausibly throws — [`SimError`], I/O
-/// errors, numbers — and rendered as `TypeName: value` so the failure
-/// report names *what* was thrown instead of collapsing every typed
-/// payload to the same opaque line.
-pub(crate) fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    let payload = match payload.downcast::<String>() {
-        Ok(s) => return *s,
-        Err(p) => p,
-    };
-    let payload = match payload.downcast::<&'static str>() {
-        Ok(s) => return (*s).to_string(),
-        Err(p) => p,
-    };
-    macro_rules! probe {
-        ($p:expr, $($ty:ty),+ $(,)?) => {{
-            let p = $p;
-            $(let p = match p.downcast::<$ty>() {
-                Ok(v) => return format!("{}: {}", stringify!($ty), *v),
-                Err(p) => p,
-            };)+
-            p
-        }};
-    }
-    use crate::error::SimError;
-    use std::io::Error as IoError;
-    let _ = probe!(
-        payload,
-        SimError,
-        TrialFailure,
-        IoError,
-        i32,
-        u32,
-        i64,
-        u64,
-        usize,
-        f64,
-        bool,
-        char,
-    );
-    "non-string panic payload".to_string()
+    let mut seeds = vec![0u64; trials as usize];
+    SeedSequence::new(master_seed).children_into(0, &mut seeds);
+    run_cells(&seeds, parallelism, |i, &seed| f(i as u64, seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcb_mathkit::rng::RcbRng;
 
     #[test]
     fn results_arrive_in_trial_order() {
-        let out = run_trials(100, 7, Parallelism::Fixed(4), |i, _rng| i * 2);
+        let out = run_trials(100, 7, Parallelism::Fixed(4), |i, _| i * 2);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 2);
         }
     }
 
+    /// A trial body that draws from its own stream.
+    fn draws(i: u64, seed: u64) -> (u64, f64, u64) {
+        let mut rng = RcbRng::new(seed);
+        (i, rng.f64(), rng.below(1000))
+    }
+
+    #[test]
+    fn trial_seeds_are_the_seed_sequence_children() {
+        let seeds = run_trials(16, 99, Parallelism::Fixed(2), |_, seed| seed);
+        let expected: Vec<u64> = (0..16).map(|i| SeedSequence::new(99).child(i)).collect();
+        assert_eq!(seeds, expected);
+    }
+
     #[test]
     fn parallel_equals_sequential_for_fixed_seed() {
-        let seq = run_trials(64, 99, Parallelism::Fixed(1), |i, rng| {
-            (i, rng.f64(), rng.below(1000))
-        });
-        let par = run_trials(64, 99, Parallelism::Fixed(8), |i, rng| {
-            (i, rng.f64(), rng.below(1000))
-        });
+        let seq = run_trials(64, 99, Parallelism::Fixed(1), draws);
+        let par = run_trials(64, 99, Parallelism::Fixed(8), draws);
         assert_eq!(seq, par, "determinism must not depend on thread count");
     }
 
     #[test]
     fn auto_equals_fixed_for_fixed_seed() {
-        let auto = run_trials(48, 2014, Parallelism::Auto, |i, rng| {
-            (i, rng.below(1 << 20))
-        });
-        let one = run_trials(48, 2014, Parallelism::Fixed(1), |i, rng| {
-            (i, rng.below(1 << 20))
-        });
-        let eight = run_trials(48, 2014, Parallelism::Fixed(8), |i, rng| {
-            (i, rng.below(1 << 20))
-        });
+        let auto = run_trials(48, 2014, Parallelism::Auto, draws);
+        let one = run_trials(48, 2014, Parallelism::Fixed(1), draws);
+        let eight = run_trials(48, 2014, Parallelism::Fixed(8), draws);
         assert_eq!(auto, one);
         assert_eq!(auto, eight);
     }
 
     #[test]
     fn different_trials_get_different_streams() {
-        let out = run_trials(50, 1, Parallelism::Fixed(2), |_, rng| rng.below(u64::MAX));
+        let out = run_trials(50, 1, Parallelism::Fixed(2), |_, seed| {
+            RcbRng::new(seed).below(u64::MAX)
+        });
         let mut dedup = out.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -270,43 +162,20 @@ mod tests {
     #[test]
     fn nested_auto_results_match_top_level() {
         // Degrading to sequential must not change results (each trial's
-        // RNG stream is index-derived, so it cannot) — pin it anyway.
+        // seed is index-derived, so it cannot) — pin it anyway.
         let nested = run_trials(3, 7, Parallelism::Fixed(2), |_, _| {
-            run_trials(16, 11, Parallelism::Auto, |i, rng| (i, rng.f64()))
+            run_trials(16, 11, Parallelism::Auto, draws)
         });
-        let top = run_trials(16, 11, Parallelism::Auto, |i, rng| (i, rng.f64()));
+        let top = run_trials(16, 11, Parallelism::Auto, draws);
         for inner in nested {
             assert_eq!(inner, top);
         }
     }
 
     #[test]
-    fn panicking_trial_is_isolated() {
-        // Trial 5 panics; the other trials must complete with values
-        // bit-identical to a run where nothing panicked.
-        let clean = run_trials(16, 42, Parallelism::Fixed(4), |i, rng| (i, rng.f64()));
-        let isolated = run_trials_isolated(16, 42, Parallelism::Fixed(4), |i, rng| {
-            if i == 5 {
-                panic!("injected failure in trial {i}");
-            }
-            (i, rng.f64())
-        });
-        assert_eq!(isolated.len(), 16);
-        for (i, r) in isolated.iter().enumerate() {
-            if i == 5 {
-                let failure = r.as_ref().expect_err("trial 5 panicked");
-                assert_eq!(failure.trial, 5);
-                assert!(failure.payload.contains("injected failure"));
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &clean[i], "trial {i} perturbed");
-            }
-        }
-    }
-
-    #[test]
     fn run_trials_propagates_trial_panics() {
         let caught = std::panic::catch_unwind(|| {
-            run_trials(4, 1, Parallelism::Fixed(1), |i, _rng| {
+            run_trials(4, 1, Parallelism::Fixed(1), |i, _| {
                 if i == 2 {
                     panic!("boom");
                 }
@@ -314,33 +183,7 @@ mod tests {
             })
         });
         let payload = caught.expect_err("the panic must propagate");
-        let msg = super::panic_payload(payload);
-        assert!(msg.contains("trial 2"), "got: {msg}");
-        assert!(msg.contains("boom"), "got: {msg}");
-    }
-
-    #[test]
-    fn typed_panic_payloads_keep_their_type_names() {
-        use crate::error::SimError;
-        let results = run_trials_isolated(4, 9, Parallelism::Fixed(1), |i, _| match i {
-            0 => std::panic::panic_any(SimError::SlotBudgetExhausted {
-                max_slots: 8,
-                slots: 8,
-            }),
-            1 => std::panic::panic_any(42u64),
-            2 => std::panic::panic_any(vec![1u8]), // unprobed type stays opaque
-            _ => (),
-        });
-        let sim = &results[0].as_ref().expect_err("trial 0 panicked").payload;
-        assert!(
-            sim.starts_with("SimError: slot budget exhausted"),
-            "got: {sim}"
-        );
-        let num = &results[1].as_ref().expect_err("trial 1 panicked").payload;
-        assert_eq!(num, "u64: 42");
-        let opaque = &results[2].as_ref().expect_err("trial 2 panicked").payload;
-        assert_eq!(opaque, "non-string panic payload");
-        assert!(results[3].is_ok());
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 
     #[test]

@@ -6,20 +6,19 @@
 //! adversary, faults, seeds). A [`ScenarioSpec`] replaces all of them: it
 //! names the workload, the engine, the adversary policy, the fault plan,
 //! and the seed policy, and exposes one checked run path
-//! ([`ScenarioSpec::run`]) plus a [`run_trials`]-integrated batch form
+//! ([`ScenarioSpec::run_trial_ctl`]) plus a batch form over the executor
 //! ([`ScenarioSpec::run_batch`]).
 //!
-//! The run paths call the *same* engine cores as the legacy
-//! `run_{duel,exact,broadcast}*` entry points with the same argument
-//! values and the same RNG stream usage, so a spec run is **bit-identical**
-//! to the legacy call it subsumes (certified by the golden equivalence
-//! suite in `crates/sim/tests/scenario_equivalence.rs`).
+//! A trial takes its seed, builds the engine's [`Session`] at that seed
+//! (or, for the exact duel, hands an `RcbRng::new(seed)` stream to
+//! [`run_exact`]) and runs it once. The per-spec batch checksums are pinned
+//! by the golden suite in `crates/sim/tests/scenario_equivalence.rs`.
 //!
 //! ## Seed policy
 //!
-//! * Trial `i` of a batch draws its RNG from
-//!   `SeedSequence::new(master).rng(i)` — exactly what [`run_trials`]
-//!   derives, so batch results are independent of thread count.
+//! * Trial `i` of a batch runs at seed `SeedSequence::new(master).child(i)`
+//!   — exactly what [`run_trials`] and the
+//!   executor derive, so batch results are independent of thread count.
 //! * Seeded adversaries (the [`AdversarySpec::Random`] policy) receive
 //!   `master ^ i` per trial ([`SeedPolicy::adversary_seed`]), matching the
 //!   CLI's historical `seed ^ i` derivation.
@@ -42,19 +41,19 @@ use rcb_adversary::traits::RepetitionAdversary;
 use rcb_adversary::RepAsSlotAdversary;
 use rcb_baselines::ksy::KsyProfile;
 use rcb_channel::partition::Partition;
-use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
+use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::{DuelProfile, Fig1Profile};
 use rcb_core::one_to_one::schedule::DuelSchedule;
 use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::rng::RcbRng;
 
-use crate::cohort::{run_cohort_core, CohortConfig, CohortSession, CohortStats};
+use crate::cohort::{CohortConfig, CohortSession};
 use crate::deadline::Deadline;
-use crate::duel::{run_duel_core, DuelConfig};
+use crate::duel::{DuelConfig, DuelSession};
 use crate::error::SimError;
-use crate::exact::{run_exact_core, ExactConfig};
-use crate::fast::{run_broadcast_core, BroadcastObserver, BroadcastSession, FastConfig};
+use crate::exact::{run_exact, ExactConfig};
+use crate::fast::{BroadcastSession, FastConfig};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
@@ -531,9 +530,10 @@ impl ScenarioSpec {
     }
 
     /// Checks the spec's cross-field invariants (fault plan validity,
-    /// source bounds, adversary parameter ranges). The run paths enforce
-    /// the same invariants by assertion; `validate` exists so front ends
-    /// (the CLI) can surface a readable error instead of a panic.
+    /// source bounds, protocol and adversary parameter ranges). The run
+    /// paths enforce the same invariants by assertion; `validate` exists so
+    /// front ends (the CLI) can surface a readable error instead of a
+    /// panic.
     pub fn validate(&self) -> Result<(), String> {
         self.faults.validate().map_err(|e| e.to_string())?;
         if self.engine == Engine::CohortFast && matches!(self.workload, Workload::Duel(_)) {
@@ -551,11 +551,33 @@ impl ScenarioSpec {
             }
             Ok(())
         };
+        // Fig-2 rate constants outside (0, ∞) run straight to the epoch cap
+        // (or, with d < 0, "simulate" astronomically many slots).
+        let check_params = |p: &OneToNParams| -> Result<(), String> {
+            for (name, v) in [("b", p.b), ("d", p.d), ("s_init", p.s_init)] {
+                if !(v.is_finite() && v > 0.0) {
+                    return Err(format!(
+                        "broadcast parameter {name} = {v} must be finite and > 0"
+                    ));
+                }
+            }
+            Ok(())
+        };
         match &self.workload {
-            Workload::Duel(_) => {}
-            Workload::Broadcast(w) => check_population(w.n, &w.sources)?,
+            Workload::Duel(w) => {
+                if let DuelProtocol::Fig1 { epsilon, .. } = w.protocol {
+                    if !(epsilon > 0.0 && epsilon < 1.0) {
+                        return Err(format!("Fig-1 epsilon {epsilon} outside (0, 1)"));
+                    }
+                }
+            }
+            Workload::Broadcast(w) => {
+                check_population(w.n, &w.sources)?;
+                check_params(&w.params)?;
+            }
             Workload::Stream(w) => {
                 check_population(w.n, &w.sources)?;
+                check_params(&w.params)?;
                 if w.horizon == 0 {
                     return Err("stream workload needs a horizon of at least one slot".into());
                 }
@@ -616,45 +638,41 @@ impl ScenarioSpec {
 
     // -- run paths ----------------------------------------------------------
 
-    /// Runs the scenario once on the caller's RNG. Truncation (an engine
-    /// cap) surfaces as a typed [`SimError`]; the spec's trial index is 0
-    /// for adversary-seed purposes.
-    pub fn run(&self, rng: &mut RcbRng) -> Result<Outcome, SimError> {
-        self.run_trial(0, rng)
+    /// Runs the scenario once at `seed`. Truncation (an engine cap)
+    /// surfaces as a typed [`SimError`]; the spec's trial index is 0 for
+    /// adversary-seed purposes.
+    pub fn run(&self, seed: u64) -> Result<Outcome, SimError> {
+        self.run_trial(0, seed)
     }
 
     /// [`run`](Self::run) for an explicit trial index (the index feeds
     /// seeded adversaries via [`SeedPolicy::adversary_seed`]).
-    pub fn run_trial(&self, trial: u64, rng: &mut RcbRng) -> Result<Outcome, SimError> {
-        match self.run_trial_raw(trial, rng) {
+    pub fn run_trial(&self, trial: u64, seed: u64) -> Result<Outcome, SimError> {
+        match self.run_trial_ctl(trial, seed, &Deadline::NONE) {
             (outcome, None) => Ok(outcome),
             (_, Some(err)) => Err(err),
         }
     }
 
-    /// Tolerant form: returns the (possibly truncated) outcome *and* the
+    /// Tolerant run of trial `trial` at `seed` under a cooperative
+    /// [`Deadline`]: returns the (possibly truncated) outcome *and* the
     /// error. The conformance differ samples truncated runs too — a cap is
-    /// data about the engine, not a failure of the comparison.
-    pub fn run_trial_raw(&self, trial: u64, rng: &mut RcbRng) -> (Outcome, Option<SimError>) {
-        self.run_trial_ctl(trial, rng, &Deadline::NONE)
-    }
-
-    /// [`run_trial_raw`](Self::run_trial_raw) under a cooperative
-    /// [`Deadline`]: the engine's slot loop checks it (without consuming
-    /// RNG) and cuts the trial off with [`SimError::DeadlineExceeded`] and
-    /// a partial outcome. An unbounded deadline is byte-identical to the
-    /// raw path. Deadline-cut outcomes are wall-clock dependent and must
-    /// never be journaled.
+    /// data about the engine, not a failure of the comparison. The engine's
+    /// slot loop checks the deadline (without consuming RNG) and cuts the
+    /// trial off with [`SimError::DeadlineExceeded`] and a partial outcome;
+    /// an unbounded deadline never changes the result. Deadline-cut
+    /// outcomes are wall-clock dependent and must never be journaled.
     pub fn run_trial_ctl(
         &self,
         trial: u64,
-        rng: &mut RcbRng,
+        seed: u64,
         deadline: &Deadline,
     ) -> (Outcome, Option<SimError>) {
         debug_assert!(self.validate().is_ok(), "invalid scenario spec");
+        let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
+        let adv = adv.as_mut();
         match (&self.workload, self.engine) {
             (Workload::Duel(w), Engine::Fast) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
                 let config = DuelConfig {
                     max_slots: w.max_slots,
                 };
@@ -662,28 +680,25 @@ impl ScenarioSpec {
                     DuelProtocol::Fig1 {
                         epsilon,
                         start_epoch,
-                    } => run_duel_core(
-                        &Fig1Profile::with_start_epoch(epsilon, start_epoch),
-                        adv.as_mut(),
-                        rng,
+                    } => DuelSession::new(
+                        Fig1Profile::with_start_epoch(epsilon, start_epoch),
                         config,
-                        &self.faults,
-                        deadline,
-                    ),
-                    DuelProtocol::Ksy { start_epoch } => run_duel_core(
-                        &KsyProfile::with_start_epoch(start_epoch),
-                        adv.as_mut(),
-                        rng,
+                        self.faults,
+                        seed,
+                    )
+                    .run(adv, deadline),
+                    DuelProtocol::Ksy { start_epoch } => DuelSession::new(
+                        KsyProfile::with_start_epoch(start_epoch),
                         config,
-                        &self.faults,
-                        deadline,
-                    ),
+                        self.faults,
+                        seed,
+                    )
+                    .run(adv, deadline),
                 };
                 (Outcome::Duel(out), err)
             }
             (Workload::Duel(w), Engine::Exact) => {
-                let adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                match w.protocol {
+                let (out, err) = match w.protocol {
                     DuelProtocol::Fig1 {
                         epsilon,
                         start_epoch,
@@ -691,60 +706,25 @@ impl ScenarioSpec {
                         Fig1Profile::with_start_epoch(epsilon, start_epoch),
                         w,
                         adv,
-                        rng,
+                        seed,
                         deadline,
                     ),
                     DuelProtocol::Ksy { start_epoch } => self.exact_duel(
                         KsyProfile::with_start_epoch(start_epoch),
                         w,
                         adv,
-                        rng,
+                        seed,
                         deadline,
                     ),
-                }
+                };
+                (Outcome::Duel(out), err)
             }
-            (Workload::Broadcast(w), Engine::Fast) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                let (out, err) = run_broadcast_core(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    FastConfig {
-                        max_epoch: w.max_epoch,
-                    },
-                    &mut (),
-                    &self.faults,
-                    deadline,
-                );
-                (Outcome::Broadcast(out), err)
-            }
-            (Workload::Broadcast(w), Engine::Exact) => {
-                let adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                self.exact_broadcast(w, adv, rng, deadline)
-            }
-            (Workload::Broadcast(w), Engine::CohortFast) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                let (out, err) = run_cohort_core(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    CohortConfig {
-                        max_epoch: w.max_epoch,
-                        ..CohortConfig::default()
-                    },
-                    &self.faults,
-                    deadline,
-                    &mut CohortStats::default(),
-                );
+            (Workload::Broadcast(w), engine) => {
+                let (out, err) = self.broadcast_session(w, engine, seed).run(adv, deadline);
                 (Outcome::Broadcast(out), err)
             }
             (Workload::Stream(w), _) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                let (out, err) = self.run_stream(w, adv.as_mut(), rng, deadline);
+                let (out, err) = self.run_stream(w, adv, seed, deadline);
                 (Outcome::Stream(out), err)
             }
             (Workload::Duel(_), Engine::CohortFast) => {
@@ -753,9 +733,52 @@ impl ScenarioSpec {
         }
     }
 
+    /// The broadcast-shaped session `engine` runs `w` on, armed at `seed`.
+    fn broadcast_session(
+        &self,
+        w: &BroadcastWorkload,
+        engine: Engine,
+        seed: u64,
+    ) -> Box<dyn Session<Outcome = BroadcastOutcome>> {
+        let sources = w.sources.clone();
+        match engine {
+            Engine::Fast => Box::new(BroadcastSession::new(
+                w.params,
+                w.n,
+                sources,
+                FastConfig {
+                    max_epoch: w.max_epoch,
+                },
+                self.faults,
+                seed,
+            )),
+            Engine::Exact => Box::new(ExactBroadcastSession::new(
+                w.params,
+                w.n,
+                sources,
+                ExactConfig {
+                    max_slots: w.exact_max_slots,
+                },
+                self.faults,
+                seed,
+            )),
+            Engine::CohortFast => Box::new(CohortSession::new(
+                w.params,
+                w.n,
+                sources,
+                CohortConfig {
+                    max_epoch: w.max_epoch,
+                    ..CohortConfig::default()
+                },
+                self.faults,
+                seed,
+            )),
+        }
+    }
+
     /// Queue-driven streaming run: builds the engine's session once, then
     /// drains the arrival queue FIFO through it, re-arming between
-    /// messages. The arrival schedule is drawn from the trial stream
+    /// messages. The arrival schedule is drawn from the trial's stream
     /// *before* any per-message execution, so it is engine-independent;
     /// each message then gets a fresh per-message seed from the same
     /// stream, making a stream trial exactly reproducible.
@@ -763,77 +786,50 @@ impl ScenarioSpec {
         &self,
         w: &StreamWorkload,
         adversary: &mut dyn RepetitionAdversary,
-        rng: &mut RcbRng,
+        seed: u64,
         deadline: &Deadline,
     ) -> (StreamOutcome, Option<SimError>) {
-        let arrivals = w.arrival.generate(w.horizon, rng);
-        match self.engine {
-            Engine::Fast => {
-                let mut session = BroadcastSession::new(
-                    w.params,
-                    w.n,
-                    w.sources.clone(),
-                    FastConfig {
-                        max_epoch: w.max_epoch,
-                    },
-                    self.faults,
-                    0,
-                );
-                stream_loop(w, &arrivals, &mut session, adversary, rng, deadline)
-            }
-            Engine::Exact => {
-                let mut session = ExactBroadcastSession::new(
-                    w.params,
-                    w.n,
-                    w.sources.clone(),
-                    ExactConfig {
-                        max_slots: w.exact_max_slots,
-                    },
-                    self.faults,
-                    0,
-                );
-                stream_loop(w, &arrivals, &mut session, adversary, rng, deadline)
-            }
-            Engine::CohortFast => {
-                let mut session = CohortSession::new(
-                    w.params,
-                    w.n,
-                    w.sources.clone(),
-                    CohortConfig {
-                        max_epoch: w.max_epoch,
-                        ..CohortConfig::default()
-                    },
-                    self.faults,
-                    0,
-                );
-                stream_loop(w, &arrivals, &mut session, adversary, rng, deadline)
-            }
-        }
+        let mut rng = RcbRng::new(seed);
+        let arrivals = w.arrival.generate(w.horizon, &mut rng);
+        let as_broadcast = BroadcastWorkload {
+            params: w.params,
+            n: w.n,
+            sources: w.sources.clone(),
+            max_epoch: w.max_epoch,
+            exact_max_slots: w.exact_max_slots,
+        };
+        let mut session = self.broadcast_session(&as_broadcast, self.engine, 0);
+        stream_loop(
+            w,
+            &arrivals,
+            session.as_mut(),
+            adversary,
+            &mut rng,
+            deadline,
+        )
     }
 
-    /// Exact-engine duel: drives the slot-level protocol pair and converts
-    /// the ledger into a [`DuelOutcome`]. Slot-granular bookkeeping the
-    /// exact engine does not track is left at its zero value and documented
-    /// on [`Outcome`].
+    /// Exact-engine duel: drives the slot-level protocol pair on an
+    /// `RcbRng::new(seed)` stream and converts the ledger into a
+    /// [`DuelOutcome`]. Slot-granular bookkeeping the exact engine does not
+    /// track is left at its zero value and documented on [`Outcome`].
     fn exact_duel<P: DuelProfile + Copy>(
         &self,
         profile: P,
         w: &DuelWorkload,
-        adversary: Box<dyn RepetitionAdversary>,
-        rng: &mut RcbRng,
+        adversary: &mut dyn RepetitionAdversary,
+        seed: u64,
         deadline: &Deadline,
-    ) -> (Outcome, Option<SimError>) {
+    ) -> (DuelOutcome, Option<SimError>) {
         let mut alice = AliceProtocol::new(profile);
         let mut bob = BobProtocol::new(profile);
-        let schedule = DuelSchedule::new(profile.start_epoch());
-        let partition = Partition::pair();
         let mut adv = RepAsSlotAdversary::duel(adversary);
-        let (out, err) = run_exact_core(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
-            &schedule,
-            &partition,
-            rng,
+            &DuelSchedule::new(profile.start_epoch()),
+            &Partition::pair(),
+            &mut RcbRng::new(seed),
             ExactConfig {
                 max_slots: w.exact_max_slots,
             },
@@ -842,127 +838,44 @@ impl ScenarioSpec {
             deadline,
         );
         let delivered = bob.received_message();
-        (
-            Outcome::Duel(DuelOutcome {
-                delivered,
-                bob_premature: !delivered && out.completed,
-                alice_cost: out.ledger.node_cost(0),
-                bob_cost: out.ledger.node_cost(1),
-                adversary_cost: out.ledger.adversary_cost(),
-                slots: out.slots,
-                delivery_slot: None, // not tracked at ledger granularity
-                last_epoch: 0,       // not tracked by the exact engine
-                truncated: !out.completed,
-            }),
-            err,
-        )
+        let outcome = DuelOutcome {
+            delivered,
+            bob_premature: !delivered && out.completed,
+            alice_cost: out.ledger.node_cost(0),
+            bob_cost: out.ledger.node_cost(1),
+            adversary_cost: out.ledger.adversary_cost(),
+            slots: out.slots,
+            delivery_slot: None, // not tracked at ledger granularity
+            last_epoch: 0,       // not tracked by the exact engine
+            truncated: !out.completed,
+        };
+        (outcome, err)
     }
 
-    /// Exact-engine broadcast: one [`OneToNSlotNode`] per node, informed
-    /// iff listed in `sources`.
-    fn exact_broadcast(
-        &self,
-        w: &BroadcastWorkload,
-        adversary: Box<dyn RepetitionAdversary>,
-        rng: &mut RcbRng,
-        deadline: &Deadline,
-    ) -> (Outcome, Option<SimError>) {
-        let mut nodes: Vec<OneToNSlotNode> = (0..w.n)
-            .map(|u| OneToNSlotNode::new(w.params, w.sources.contains(&u)))
-            .collect();
-        let mut refs: Vec<&mut dyn SlotProtocol> = Vec::new();
-        for node in nodes.iter_mut() {
-            refs.push(node);
-        }
-        let schedule = OneToNSchedule::new(w.params);
-        let partition = Partition::uniform(w.n);
-        let mut adv = RepAsSlotAdversary::broadcast(adversary, w.n);
-        let (out, err) = run_exact_core(
-            &mut refs,
-            &mut adv,
-            &schedule,
-            &partition,
-            rng,
-            ExactConfig {
-                max_slots: w.exact_max_slots,
-            },
-            None,
-            &self.faults,
-            deadline,
-        );
-        let informed = nodes.iter().filter(|v| v.received_message()).count();
-        (
-            Outcome::Broadcast(BroadcastOutcome {
-                n: w.n,
-                informed,
-                all_informed: informed == w.n,
-                all_terminated: out.completed,
-                safety_terminations: 0, // not tracked at slot granularity
-                node_costs: (0..w.n).map(|u| out.ledger.node_cost(u)).collect(),
-                adversary_cost: out.ledger.adversary_cost(),
-                slots: out.slots,
-                last_epoch: 0, // not tracked by the exact engine
-                truncated: !out.completed,
-            }),
-            err,
-        )
-    }
-
-    /// Runs `self.trials` independent executions through [`run_trials`]
-    /// (deterministic per-trial streams; results independent of thread
-    /// count). Truncated trials surface as `Err` entries.
+    /// Runs `self.trials` independent executions through
+    /// [`run_trials`] (deterministic per-trial seeds, results independent
+    /// of thread count). Truncated trials surface as `Err` entries.
     pub fn run_batch(&self) -> Vec<Result<Outcome, SimError>> {
-        run_trials(
-            self.trials,
-            self.seeds.master,
-            self.parallelism,
-            |i, rng| self.run_trial(i, rng),
-        )
+        self.run_batch_raw()
+            .into_iter()
+            .map(|(outcome, err)| match err {
+                None => Ok(outcome),
+                Some(e) => Err(e),
+            })
+            .collect()
     }
 
     /// Tolerant batch: every trial yields its (possibly truncated) outcome.
+    /// Trial-granular, so a batch of a few heavy trials still spreads over
+    /// the workers ([`run_specs`](crate::executor::run_specs) claims trials
+    /// in chunks of 16); the results equal `run_specs` over this spec.
     pub fn run_batch_raw(&self) -> Vec<(Outcome, Option<SimError>)> {
         run_trials(
             self.trials,
             self.seeds.master,
             self.parallelism,
-            |i, rng| self.run_trial_raw(i, rng),
+            |i, seed| self.run_trial_ctl(i, seed, &Deadline::NONE),
         )
-    }
-
-    /// Single run with a per-repetition observer (calibration tooling).
-    /// Tolerant like [`run_trial_raw`](Self::run_trial_raw): a truncated
-    /// run still yields its partial outcome, because calibration wants the
-    /// numbers *and* the cap diagnosis.
-    ///
-    /// # Panics
-    ///
-    /// Only the fast broadcast engine has an observer hook; any other
-    /// (workload, engine) combination panics.
-    pub fn run_observed(
-        &self,
-        rng: &mut RcbRng,
-        observer: &mut dyn BroadcastObserver,
-    ) -> (BroadcastOutcome, Option<SimError>) {
-        match (&self.workload, self.engine) {
-            (Workload::Broadcast(w), Engine::Fast) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(0));
-                run_broadcast_core(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    FastConfig {
-                        max_epoch: w.max_epoch,
-                    },
-                    observer,
-                    &self.faults,
-                    &Deadline::NONE,
-                )
-            }
-            _ => panic!("run_observed: only the fast broadcast engine has an observer hook"),
-        }
     }
 
     // -- checksums ----------------------------------------------------------
@@ -1304,8 +1217,8 @@ impl ScenarioSpec {
     }
 }
 
-/// The FIFO single-server drain at the heart of a stream trial, generic
-/// over the engine's session type. Message `k` starts service at
+/// The FIFO single-server drain at the heart of a stream trial, over any
+/// engine's session. Message `k` starts service at
 /// `max(clock, arrival_k)`; its latency is queue wait + service time.
 ///
 /// Per-message engine caps (epoch/slot budgets) are *data*, not failures:
@@ -1313,10 +1226,10 @@ impl ScenarioSpec {
 /// clock, and the stream continues. Only a wall-clock deadline aborts the
 /// stream, marking the outcome `truncated` (such outcomes are
 /// machine-dependent and must never be journaled).
-fn stream_loop<S: Session<Outcome = BroadcastOutcome>>(
+fn stream_loop(
     w: &StreamWorkload,
     arrivals: &[u64],
-    session: &mut S,
+    session: &mut dyn Session<Outcome = BroadcastOutcome>,
     adversary: &mut dyn RepetitionAdversary,
     rng: &mut RcbRng,
     deadline: &Deadline,
@@ -1947,8 +1860,6 @@ pub fn find_scenario(name: &str) -> Option<NamedScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duel::run_duel;
-    use crate::fast::run_broadcast;
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -1967,7 +1878,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_duel_spec_matches_legacy_entry_point() {
+    fn fast_duel_spec_runs_the_duel_session() {
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8)).with_adversary(
             AdversarySpec::Budgeted {
                 budget: 4096,
@@ -1975,49 +1886,56 @@ mod tests {
             },
         );
         for seed in 0..5 {
-            let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_duel();
-            let mut rng_b = RcbRng::new(seed);
+            let via_spec = spec.run(seed).expect("no cap hit").into_duel();
+            let profile = Fig1Profile::with_start_epoch(0.1, 8);
+            let mut session =
+                DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed);
             let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-            let legacy = run_duel(
-                &Fig1Profile::with_start_epoch(0.1, 8),
-                &mut adv,
-                &mut rng_b,
-                DuelConfig::default(),
-            );
-            assert_eq!(via_spec, legacy, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
+            let (direct, _) = session.run(&mut adv, &Deadline::NONE);
+            assert_eq!(via_spec, direct, "seed {seed}");
         }
     }
 
     #[test]
-    fn fast_broadcast_spec_matches_legacy_entry_point() {
-        let spec = ScenarioSpec::broadcast(12).with_adversary(AdversarySpec::Budgeted {
+    fn broadcast_specs_run_their_engine_sessions() {
+        let jammed = AdversarySpec::Budgeted {
             budget: 50_000,
             fraction: 1.0,
-        });
+        };
+        let params = OneToNParams::practical();
         for seed in 0..3 {
-            let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_broadcast();
-            let mut rng_b = RcbRng::new(seed);
+            let spec = ScenarioSpec::broadcast(12).with_adversary(jammed);
             let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let legacy = run_broadcast(
-                &OneToNParams::practical(),
-                12,
-                &mut adv,
-                &mut rng_b,
-                FastConfig::default(),
+            let config = FastConfig::default();
+            let (direct, _) =
+                BroadcastSession::new(params, 12, vec![0], config, FaultPlan::none(), seed)
+                    .run(&mut adv, &Deadline::NONE);
+            assert_eq!(
+                spec.run(seed).unwrap().into_broadcast(),
+                direct,
+                "seed {seed}"
             );
-            assert_eq!(via_spec, legacy, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
+
+            let spec = ScenarioSpec::broadcast(24)
+                .with_engine(Engine::CohortFast)
+                .with_adversary(jammed);
+            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
+            let config = CohortConfig::default();
+            let (direct, _) =
+                CohortSession::new(params, 24, vec![0], config, FaultPlan::none(), seed)
+                    .run(&mut adv, &Deadline::NONE);
+            assert_eq!(
+                spec.run(seed).unwrap().into_broadcast(),
+                direct,
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
     fn exact_duel_outcome_maps_the_ledger() {
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.05, 6)).with_engine(Engine::Exact);
-        let mut rng = RcbRng::new(7);
-        let out = spec.run(&mut rng).expect("completes").into_duel();
+        let out = spec.run(7).expect("completes").into_duel();
         assert!(!out.truncated);
         assert!(out.alice_cost > 0);
         assert_eq!(out.adversary_cost, 0);
@@ -2036,36 +1954,9 @@ mod tests {
             .with_seed(99);
         let batch = spec.run_batch();
         let sequential: Vec<_> = (0..8)
-            .map(|i| {
-                let mut rng = rcb_mathkit::rng::SeedSequence::new(99).rng(i);
-                spec.run_trial(i, &mut rng)
-            })
+            .map(|i| spec.run_trial(i, rcb_mathkit::rng::SeedSequence::new(99).child(i)))
             .collect();
         assert_eq!(batch, sequential);
-    }
-
-    #[test]
-    fn empty_fault_plan_spec_is_byte_identical_to_clean_path() {
-        let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8))
-            .with_adversary(AdversarySpec::Budgeted {
-                budget: 2048,
-                fraction: 1.0,
-            })
-            .with_faults(FaultPlan::none());
-        for seed in 0..5 {
-            let mut rng_a = RcbRng::new(seed);
-            let spec_out = spec.run(&mut rng_a).unwrap().into_duel();
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(2048, 1.0);
-            let clean = run_duel(
-                &Fig1Profile::with_start_epoch(0.1, 8),
-                &mut adv,
-                &mut rng_b,
-                DuelConfig::default(),
-            );
-            assert_eq!(spec_out, clean, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}: no extra randomness drawn");
-        }
     }
 
     #[test]
@@ -2157,16 +2048,41 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_out_of_range_protocol_parameters() {
+        for epsilon in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+            let spec = ScenarioSpec::duel(DuelProtocol::fig1(epsilon, 8));
+            assert!(spec.validate().is_err(), "epsilon {epsilon}");
+        }
+        let set: [fn(&mut OneToNParams, f64); 3] =
+            [|p, v| p.b = v, |p, v| p.d = v, |p, v| p.s_init = v];
+        for (field, set) in ["b", "d", "s_init"].iter().zip(set) {
+            for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let mut broadcast = ScenarioSpec::broadcast(4);
+                let mut stream =
+                    ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate: 0.001 }, 1_000);
+                for spec in [&mut broadcast, &mut stream] {
+                    match &mut spec.workload {
+                        Workload::Broadcast(w) => set(&mut w.params, v),
+                        Workload::Stream(w) => set(&mut w.params, v),
+                        Workload::Duel(_) => unreachable!(),
+                    }
+                    assert!(spec.validate().is_err(), "{field} = {v}: {}", spec.workload);
+                }
+            }
+        }
+        for entry in registry() {
+            assert!(entry.spec.validate().is_ok(), "{}", entry.name);
+        }
+    }
+
+    #[test]
     fn random_adversary_is_seed_deterministic() {
         let spec =
             ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8)).with_adversary(AdversarySpec::Random {
                 budget: 4096,
                 rate: 0.5,
             });
-        let run = || {
-            let mut rng = RcbRng::new(3);
-            spec.run(&mut rng).unwrap().into_duel()
-        };
+        let run = || spec.run(3).unwrap().into_duel();
         assert_eq!(run(), run(), "same (seed, trial) must replay exactly");
     }
 
@@ -2198,31 +2114,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_spec_matches_legacy_entry_point() {
-        let spec = ScenarioSpec::broadcast(24)
-            .with_engine(Engine::CohortFast)
-            .with_adversary(AdversarySpec::Budgeted {
-                budget: 50_000,
-                fraction: 1.0,
-            });
-        for seed in 0..3 {
-            let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_broadcast();
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let legacy = crate::cohort::run_cohort(
-                &OneToNParams::practical(),
-                24,
-                &mut adv,
-                &mut rng_b,
-                CohortConfig::default(),
-            );
-            assert_eq!(via_spec, legacy, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
-        }
-    }
-
-    #[test]
     fn truncation_surfaces_as_typed_error() {
         let mut spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8)).with_adversary(
             AdversarySpec::Budgeted {
@@ -2233,15 +2124,13 @@ mod tests {
         if let Workload::Duel(w) = &mut spec.workload {
             w.max_slots = 100;
         }
-        let mut rng = RcbRng::new(3);
-        let err = spec.run(&mut rng).expect_err("100 slots cannot finish");
+        let err = spec.run(3).expect_err("100 slots cannot finish");
         assert!(matches!(
             err,
             SimError::SlotBudgetExhausted { max_slots: 100, .. }
         ));
         // The tolerant path still hands back the truncated outcome.
-        let mut rng = RcbRng::new(3);
-        let (out, err) = spec.run_trial_raw(0, &mut rng);
+        let (out, err) = spec.run_trial_ctl(0, 3, &Deadline::NONE);
         assert!(out.truncated());
         assert!(err.is_some());
     }
@@ -2362,8 +2251,7 @@ mod tests {
                 fraction: 1.0,
             });
             assert!(spec.validate().is_ok());
-            let mut rng = RcbRng::new(5);
-            let out = spec.run(&mut rng).expect("stream completes").into_stream();
+            let out = spec.run(5).expect("stream completes").into_stream();
             assert_eq!(out.arrivals, 4, "{engine:?}");
             assert_eq!(out.delivered, 4, "{engine:?}: jamming delays, not kills");
             assert_eq!(out.truncated_msgs, 0, "{engine:?}");
@@ -2373,9 +2261,8 @@ mod tests {
                 out.latency_p50 <= out.latency_p95 && out.latency_p95 <= out.latency_max,
                 "{engine:?}: percentile ordering"
             );
-            let mut rng2 = RcbRng::new(5);
             assert_eq!(
-                spec.run(&mut rng2).unwrap().into_stream(),
+                spec.run(5).unwrap().into_stream(),
                 out,
                 "{engine:?}: stream trials must replay exactly"
             );
@@ -2396,16 +2283,14 @@ mod tests {
             budget: 3_000,
             fraction: 1.0,
         });
-        let mut rng = RcbRng::new(9);
-        let persistent = base.clone().run(&mut rng).unwrap().into_stream();
+        let persistent = base.clone().run(9).unwrap().into_stream();
         assert!(
             persistent.adversary_cost <= 3_000,
             "one budget spans the stream: spent {}",
             persistent.adversary_cost
         );
         let per_msg = base.with_stream_alloc(StreamAlloc::PerMessage);
-        let mut rng = RcbRng::new(9);
-        let refill = per_msg.run(&mut rng).unwrap().into_stream();
+        let refill = per_msg.run(9).unwrap().into_stream();
         assert!(
             refill.adversary_cost >= persistent.adversary_cost,
             "a refilled jammer can spend at least as much ({} vs {})",

@@ -1,13 +1,10 @@
 //! Property tests for the fault-injection layer.
 //!
-//! Three invariants the whole subsystem leans on:
+//! Two invariants the whole subsystem leans on:
 //!
-//! 1. `FaultPlan::none()` is a *byte-identical* no-op — the faulted entry
-//!    points with an empty plan replay exactly the unfaulted engine,
-//!    including the caller's RNG stream position afterwards.
-//! 2. Fault-injected runs are deterministic under seed replay: the same
+//! 1. Fault-injected runs are deterministic under seed replay: the same
 //!    `(seed, plan)` always produces the same outcome.
-//! 3. Loss and skew only ever *remove* information: a receiver condition
+//! 2. Loss and skew only ever *remove* information: a receiver condition
 //!    can turn a decoded payload into noise, never conjure a payload out
 //!    of a clear or noisy slot.
 
@@ -19,9 +16,11 @@ use rcb_channel::Payload;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
-use rcb_sim::duel::{run_duel, run_duel_faulted, DuelConfig};
-use rcb_sim::fast::{run_broadcast_faulted, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
+use rcb_sim::session::Session;
 
 /// Assembles a plan from flat primitives (the vendored proptest stub has
 /// no `prop_map`/`option` combinators). Each component is present iff its
@@ -54,31 +53,7 @@ fn plan_from(
 }
 
 proptest! {
-    /// Invariant 1, duel engine: an empty plan replays the unfaulted run
-    /// bit for bit, and leaves the caller's RNG in the identical state.
-    #[test]
-    fn empty_plan_is_byte_identical_noop(seed in any::<u64>(), budget in 0u64..4096) {
-        let profile = Fig1Profile::with_start_epoch(0.1, 6);
-
-        let mut rng_plain = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let plain = run_duel(&profile, &mut adv, &mut rng_plain, DuelConfig::default());
-
-        let mut rng_faulted = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let faulted = run_duel_faulted(
-            &profile,
-            &mut adv,
-            &mut rng_faulted,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-        );
-
-        prop_assert_eq!(plain, faulted);
-        prop_assert_eq!(rng_plain, rng_faulted, "RNG stream position must match");
-    }
-
-    /// Invariant 2, duel engine: identical `(seed, plan)` → identical run.
+    /// Invariant 1, duel engine: identical `(seed, plan)` → identical run.
     #[test]
     fn faulted_duel_is_deterministic_under_seed_replay(
         seed in any::<u64>(),
@@ -99,14 +74,13 @@ proptest! {
         // Keep pathological plans (total loss) cheap to replay.
         let config = DuelConfig { max_slots: 1 << 16 };
         let run = || {
-            let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(512, 1.0);
-            run_duel_faulted(&profile, &mut adv, &mut rng, config, &plan)
+            DuelSession::new(profile, config, plan, seed).run(&mut adv, &Deadline::NONE)
         };
         prop_assert_eq!(run(), run());
     }
 
-    /// Invariant 2, fast broadcast engine.
+    /// Invariant 1, fast broadcast engine.
     #[test]
     fn faulted_broadcast_is_deterministic_under_seed_replay(
         seed in any::<u64>(),
@@ -122,28 +96,18 @@ proptest! {
         );
         let params = OneToNParams::practical();
         let run = || {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            run_broadcast_faulted(
-                &params,
-                6,
-                &[0],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
-                &plan,
-            )
+            BroadcastSession::new(params, 6, vec![0], FastConfig::default(), plan, seed)
+                .run(&mut NoJamRep, &Deadline::NONE)
         };
-        let a = run();
-        let b = run();
+        let (a, _) = run();
+        let (b, _) = run();
         prop_assert_eq!(a.node_costs, b.node_costs);
         prop_assert_eq!(a.informed, b.informed);
         prop_assert_eq!(a.slots, b.slots);
         prop_assert_eq!(a.truncated, b.truncated);
     }
 
-    /// Invariant 3: a receiver condition never creates a reception. Loss
+    /// Invariant 2: a receiver condition never creates a reception. Loss
     /// and skew map payloads to noise (and clear slots stay clear unless
     /// skewed); nothing maps *to* a decoded payload.
     #[test]

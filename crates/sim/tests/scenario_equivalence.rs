@@ -1,299 +1,125 @@
-//! Golden equivalence: `ScenarioSpec::run_*` against the legacy entry
-//! points it subsumes.
+//! Golden batch checksums: every shipped scenario catalog, pinned.
 //!
 //! The scenario layer promises *bit-identical* behavior — same outcomes,
 //! same slot counts, same FNV-1a checksum folds — for every (workload,
 //! engine, adversary, faults) combination the repo ships. This suite pins
-//! that promise on the two shipped catalogs:
+//! the per-spec batch checksum ([`batch_checksums`] over [`run_specs`]) to
+//! a literal value on three catalogs:
 //!
-//! * every cell of the conformance differ's default grid, on both engines;
-//! * every named registry entry behind `rcbsim scenario run`.
+//! * every duel cell of the conformance differ's default grid, on both
+//!   duel engines;
+//! * every broadcast cell of that grid, on the engine pair the differ
+//!   runs for it;
+//! * every named registry entry with n ≤ 65,536.
 //!
-//! Each spec is replayed through a hand-built legacy harness that calls
-//! `run_duel_faulted` / `run_broadcast_faulted` / `run_exact_faulted`
-//! directly, mirroring the constructions `ScenarioSpec` performs. A drift
-//! in either direction — the spec layer or the legacy path — fails here.
+//! The values were recorded before the legacy `run_*` entry points were
+//! retired, when this suite still replayed each spec through a hand-built
+//! legacy harness; any drift in an engine, the trial dispatch, or the seed
+//! derivation fails here. A deliberate change re-baselines the tables
+//! once, from the table the failure message prints.
 //!
-//! A property test additionally pins that a spec with an empty `FaultPlan`
-//! replays the *clean* (unfaulted) entry point byte for byte, including
-//! the caller's RNG stream position afterwards.
+//! Alongside the checksums, every trial's typed error must agree with the
+//! outcome's own truncation flag: a surfaced engine cap adds information
+//! and never changes the numbers.
 
-use proptest::prelude::*;
-use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep};
-use rcb_adversary::traits::RepetitionAdversary;
-use rcb_adversary::RepAsSlotAdversary;
-use rcb_baselines::ksy::KsyProfile;
-use rcb_channel::partition::Partition;
-use rcb_core::one_to_n::{OneToNSchedule, OneToNSlotNode};
-use rcb_core::one_to_one::profile::{DuelProfile, Fig1Profile};
-use rcb_core::one_to_one::schedule::DuelSchedule;
-use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
-use rcb_core::protocol::SlotProtocol;
-use rcb_mathkit::rng::RcbRng;
-use rcb_sim::cohort::{run_cohort_faulted, CohortConfig};
 use rcb_sim::conformance::default_grid;
-use rcb_sim::duel::{run_duel, run_duel_faulted, DuelConfig};
-use rcb_sim::exact::{run_exact_faulted, ExactConfig};
-use rcb_sim::fast::{run_broadcast, run_broadcast_faulted, FastConfig};
-use rcb_sim::faults::FaultPlan;
-use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
-use rcb_sim::runner::run_trials;
-use rcb_sim::scenario::{
-    fnv1a, registry, AdversarySpec, BroadcastWorkload, DuelProtocol, DuelWorkload, Engine, Outcome,
-    ScenarioSpec, Workload, FNV_OFFSET,
-};
+use rcb_sim::executor::{batch_checksums, run_specs};
+use rcb_sim::scenario::{registry, Engine, ScenarioSpec, Workload};
 
-// ---------------------------------------------------------------------------
-// Legacy harness: the pre-scenario construction for each (workload, engine)
-// ---------------------------------------------------------------------------
-
-/// The adversary construction `AdversarySpec::build` replaced, spelled out
-/// the way call sites used to write it.
-fn legacy_adversary(spec: &AdversarySpec, seed: u64) -> Box<dyn RepetitionAdversary> {
-    match *spec {
-        AdversarySpec::NoJam => Box::new(NoJamRep),
-        AdversarySpec::Budgeted { budget, fraction } => {
-            Box::new(BudgetedRepBlocker::new(budget, fraction))
-        }
-        AdversarySpec::KeepAlive { budget, fraction } => {
-            Box::new(KeepAliveBlocker::new(budget, fraction))
-        }
-        AdversarySpec::Random { budget, rate } => Box::new(RandomRep::new(rate, budget, seed)),
-    }
-}
-
-fn legacy_fast_duel(
-    w: &DuelWorkload,
-    adv: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    faults: &FaultPlan,
-) -> DuelOutcome {
-    let config = DuelConfig {
-        max_slots: w.max_slots,
-    };
-    match w.protocol {
-        DuelProtocol::Fig1 {
-            epsilon,
-            start_epoch,
-        } => run_duel_faulted(
-            &Fig1Profile::with_start_epoch(epsilon, start_epoch),
-            adv,
-            rng,
-            config,
-            faults,
-        ),
-        DuelProtocol::Ksy { start_epoch } => run_duel_faulted(
-            &KsyProfile::with_start_epoch(start_epoch),
-            adv,
-            rng,
-            config,
-            faults,
-        ),
-    }
-}
-
-fn legacy_exact_duel<P: DuelProfile + Copy>(
-    profile: P,
-    w: &DuelWorkload,
-    adversary: Box<dyn RepetitionAdversary>,
-    rng: &mut RcbRng,
-    faults: &FaultPlan,
-) -> DuelOutcome {
-    let mut alice = AliceProtocol::new(profile);
-    let mut bob = BobProtocol::new(profile);
-    let schedule = DuelSchedule::new(profile.start_epoch());
-    let partition = Partition::pair();
-    let mut adv = RepAsSlotAdversary::duel(adversary);
-    let out = run_exact_faulted(
-        &mut [&mut alice, &mut bob],
-        &mut adv,
-        &schedule,
-        &partition,
-        rng,
-        ExactConfig {
-            max_slots: w.exact_max_slots,
-        },
-        None,
-        faults,
-    );
-    let delivered = bob.received_message();
-    DuelOutcome {
-        delivered,
-        bob_premature: !delivered && out.completed,
-        alice_cost: out.ledger.node_cost(0),
-        bob_cost: out.ledger.node_cost(1),
-        adversary_cost: out.ledger.adversary_cost(),
-        slots: out.slots,
-        delivery_slot: None,
-        last_epoch: 0,
-        truncated: !out.completed,
-    }
-}
-
-fn legacy_exact_broadcast(
-    w: &BroadcastWorkload,
-    adversary: Box<dyn RepetitionAdversary>,
-    rng: &mut RcbRng,
-    faults: &FaultPlan,
-) -> BroadcastOutcome {
-    let mut nodes: Vec<OneToNSlotNode> = (0..w.n)
-        .map(|u| OneToNSlotNode::new(w.params, w.sources.contains(&u)))
-        .collect();
-    let mut refs: Vec<&mut dyn SlotProtocol> = Vec::new();
-    for node in nodes.iter_mut() {
-        refs.push(node);
-    }
-    let schedule = OneToNSchedule::new(w.params);
-    let partition = Partition::uniform(w.n);
-    let mut adv = RepAsSlotAdversary::broadcast(adversary, w.n);
-    let out = run_exact_faulted(
-        &mut refs,
-        &mut adv,
-        &schedule,
-        &partition,
-        rng,
-        ExactConfig {
-            max_slots: w.exact_max_slots,
-        },
-        None,
-        faults,
-    );
-    let informed = nodes.iter().filter(|v| v.received_message()).count();
-    BroadcastOutcome {
-        n: w.n,
-        informed,
-        all_informed: informed == w.n,
-        all_terminated: out.completed,
-        safety_terminations: 0,
-        node_costs: (0..w.n).map(|u| out.ledger.node_cost(u)).collect(),
-        adversary_cost: out.ledger.adversary_cost(),
-        slots: out.slots,
-        last_epoch: 0,
-        truncated: !out.completed,
-    }
-}
-
-/// One legacy trial for a spec: the dispatch `run_trial_raw` replaced.
-fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
-    let seed = spec.seeds.adversary_seed(trial);
-    match (&spec.workload, spec.engine) {
-        (Workload::Duel(w), Engine::Fast) => {
-            let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Duel(legacy_fast_duel(w, adv.as_mut(), rng, &spec.faults))
-        }
-        (Workload::Duel(w), Engine::Exact) => {
-            let adv = legacy_adversary(&spec.adversary, seed);
-            let out = match w.protocol {
-                DuelProtocol::Fig1 {
-                    epsilon,
-                    start_epoch,
-                } => legacy_exact_duel(
-                    Fig1Profile::with_start_epoch(epsilon, start_epoch),
-                    w,
-                    adv,
-                    rng,
-                    &spec.faults,
-                ),
-                DuelProtocol::Ksy { start_epoch } => legacy_exact_duel(
-                    KsyProfile::with_start_epoch(start_epoch),
-                    w,
-                    adv,
-                    rng,
-                    &spec.faults,
-                ),
-            };
-            Outcome::Duel(out)
-        }
-        (Workload::Broadcast(w), Engine::Fast) => {
-            let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(run_broadcast_faulted(
-                &w.params,
-                w.n,
-                &w.sources,
-                adv.as_mut(),
-                rng,
-                FastConfig {
-                    max_epoch: w.max_epoch,
-                },
-                &mut (),
-                &spec.faults,
-            ))
-        }
-        (Workload::Broadcast(w), Engine::Exact) => {
-            let adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(legacy_exact_broadcast(w, adv, rng, &spec.faults))
-        }
-        (Workload::Broadcast(w), Engine::CohortFast) => {
-            let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(run_cohort_faulted(
-                &w.params,
-                w.n,
-                &w.sources,
-                adv.as_mut(),
-                rng,
-                CohortConfig {
-                    max_epoch: w.max_epoch,
-                    ..CohortConfig::default()
-                },
-                &spec.faults,
-            ))
-        }
-        (Workload::Duel(_), Engine::CohortFast) => {
-            unreachable!("validate() rejects duel workloads on the cohort engine")
-        }
-        (Workload::Stream(_), _) => {
-            unreachable!("streams have no legacy entry point to compare against")
-        }
-    }
-}
-
-/// Runs `spec` through both paths and asserts outcome equality, slot
-/// equality, and identical FNV-1a checksum folds over the whole batch.
-fn assert_spec_matches_legacy(spec: &ScenarioSpec, label: &str) {
+/// Runs `spec`'s batch, checks error/truncation agreement per trial, and
+/// records its batch checksum under `label`.
+fn record(spec: &ScenarioSpec, label: String, got: &mut Vec<(String, u64)>) {
     spec.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
-    let via_spec = spec.run_batch_raw();
-    let via_legacy = run_trials(
-        spec.trials,
-        spec.seeds.master,
-        spec.parallelism,
-        |i, rng| legacy_trial(spec, i, rng),
-    );
-    assert_eq!(via_spec.len(), via_legacy.len(), "{label}: trial counts");
-
-    let mut checksum_spec = FNV_OFFSET;
-    let mut checksum_legacy = FNV_OFFSET;
-    for (i, ((spec_out, err), legacy_out)) in via_spec.iter().zip(&via_legacy).enumerate() {
-        assert_eq!(spec_out, legacy_out, "{label}: trial {i} outcome diverged");
-        assert_eq!(
-            spec_out.slots(),
-            legacy_out.slots(),
-            "{label}: trial {i} slot count diverged"
-        );
-        // A surfaced engine cap must agree with the outcome's own flag —
-        // the typed error adds information, never changes the numbers.
-        let truncated = spec_out.truncated();
+    let specs = std::slice::from_ref(spec);
+    let results = run_specs(specs, spec.parallelism);
+    assert_eq!(results[0].len() as u64, spec.trials, "{label}: trial count");
+    for (i, (outcome, err)) in results[0].iter().enumerate() {
         assert_eq!(
             err.is_some(),
-            truncated,
+            outcome.truncated(),
             "{label}: trial {i} error/truncation mismatch"
         );
-        checksum_spec = fnv1a(checksum_spec, &[spec.outcome_checksum(spec_out)]);
-        checksum_legacy = fnv1a(checksum_legacy, &[spec.outcome_checksum(legacy_out)]);
     }
-    assert_eq!(
-        checksum_spec, checksum_legacy,
-        "{label}: batch checksum diverged"
-    );
+    got.push((label, batch_checksums(specs, &results)[0]));
 }
 
-// ---------------------------------------------------------------------------
-// Catalog sweeps
-// ---------------------------------------------------------------------------
+/// Compares the recorded checksums with the pinned table; on mismatch the
+/// panic message carries the full recorded table in source form.
+fn assert_pinned(got: &[(String, u64)], expected: &[(&str, u64)]) {
+    let same = got.len() == expected.len()
+        && got
+            .iter()
+            .zip(expected)
+            .all(|((l, c), (el, ec))| l == el && c == ec);
+    if !same {
+        let table: String = got
+            .iter()
+            .map(|(l, c)| format!("    ({l:?}, {c:#018x}),\n"))
+            .collect();
+        let drift: Vec<&str> = got
+            .iter()
+            .filter(|(l, c)| !expected.contains(&(l.as_str(), *c)))
+            .map(|(l, _)| l.as_str())
+            .collect();
+        panic!("batch checksums drifted on {drift:?}; recorded table:\n{table}");
+    }
+}
+
+const DUEL_GRID: &[(&str, u64)] = &[
+    ("duel cell 0 Fast", 0x7cc9eaf6612e69ff),
+    ("duel cell 0 Exact", 0xf82e4cfa450d11a6),
+    ("duel cell 1 Fast", 0xe66e97734645bf9b),
+    ("duel cell 1 Exact", 0xfc5ccc72ce2ab970),
+    ("duel cell 2 Fast", 0xed64cb2f48291bf3),
+    ("duel cell 2 Exact", 0x9ba7fcd6f11443ff),
+    ("duel cell 3 Fast", 0x43a96338ed1304d3),
+    ("duel cell 3 Exact", 0x10386c03946c09ba),
+    ("duel cell 4 Fast", 0x2dba2481f8cf43f5),
+    ("duel cell 4 Exact", 0x1289dbbebc3c780a),
+    ("duel cell 5 Fast", 0x5abeda48afc27164),
+    ("duel cell 5 Exact", 0x0bf8395ee9868124),
+    ("duel cell 6 Fast", 0xfc7de1b3b11f55e1),
+    ("duel cell 6 Exact", 0xb4a8a726835c8bc3),
+    ("duel cell 7 Fast", 0xeda732d4a8698306),
+    ("duel cell 7 Exact", 0xc5c5c8b6ff9cc8b5),
+];
+
+const BROADCAST_GRID: &[(&str, u64)] = &[
+    ("broadcast cell 0 Exact", 0x8fcbc6f142f2559d),
+    ("broadcast cell 0 Fast", 0x5dc20bf1bfa871bd),
+    ("broadcast cell 1 Exact", 0x2b289d96aba13e83),
+    ("broadcast cell 1 Fast", 0x138ebcac9bda28a8),
+    ("broadcast cell 2 Exact", 0x2a8ab93a22e6ce67),
+    ("broadcast cell 2 Fast", 0xb1e323ae42f5c4df),
+    ("broadcast cell 3 Exact", 0x0f28d02c4eaf1b08),
+    ("broadcast cell 3 Fast", 0x8e93be6cff4fd84c),
+    ("broadcast cell 4 Exact", 0x7b8327a1d75ab442),
+    ("broadcast cell 4 CohortFast", 0xac6ba05a3d07efc0),
+    ("broadcast cell 5 Fast", 0x5be63654d658ef26),
+    ("broadcast cell 5 CohortFast", 0xa407c2211701fe7a),
+    ("broadcast cell 6 Fast", 0x150a3409d6b3c522),
+    ("broadcast cell 6 CohortFast", 0xfbd0d3e3b25a2eb4),
+    ("broadcast cell 7 Fast", 0x53b19cf73f79db5f),
+    ("broadcast cell 7 CohortFast", 0x100e345bd82b7d10),
+];
+
+const REGISTRY: &[(&str, u64)] = &[
+    ("duel_clean", 0x2e0bdcc599276e72),
+    ("duel_jammed", 0xa38e32ef65af3072),
+    ("duel_jammed_faulted", 0xa43de131a14ed53f),
+    ("exact_duel_jammed", 0xada95718607f9235),
+    ("bcast_n8_jammed", 0x31c98e3e00b57734),
+    ("bcast_n64_jammed", 0xe10d7c22b4e6b125),
+    ("bcast_n256_jammed", 0x4c8ae33c049cea53),
+    ("bcast_n64_faulted", 0xa31b4f273aa2563d),
+    ("bcast_n65536", 0x135c37985676283b),
+];
 
 #[test]
-fn default_grid_duel_cells_match_legacy() {
+fn default_grid_duel_cells_are_pinned() {
     let (duel_cells, _) = default_grid();
     assert!(!duel_cells.is_empty(), "grid must have duel cells");
+    let mut got = Vec::new();
     for (i, cell) in duel_cells.iter().enumerate() {
         for engine in [Engine::Fast, Engine::Exact] {
             let trials = if engine == Engine::Fast { 4 } else { 2 };
@@ -303,23 +129,23 @@ fn default_grid_duel_cells_match_legacy() {
                 .with_engine(engine)
                 .with_trials(trials)
                 .with_seed(0xC0FFEE ^ i as u64);
-            assert_spec_matches_legacy(&spec, &format!("duel grid cell {i} ({engine:?})"));
+            record(&spec, format!("duel cell {i} {engine:?}"), &mut got);
         }
     }
+    assert_pinned(&got, DUEL_GRID);
 }
 
 #[test]
-fn default_grid_broadcast_cells_match_legacy() {
+fn default_grid_broadcast_cells_are_pinned() {
     let (_, broadcast_cells) = default_grid();
     assert!(
         !broadcast_cells.is_empty(),
         "grid must have broadcast cells"
     );
+    let mut got = Vec::new();
     for (i, cell) in broadcast_cells.iter().enumerate() {
-        // Sweep the engines the differ actually runs for this cell: the
-        // historical cells pin both slot-level engines; the cohort cells
-        // pin their own (reference, candidate) pair, which keeps the
-        // exact engine away from populations it was never sized for.
+        // The engines the differ actually runs for this cell, which keeps
+        // the exact engine away from populations it was never sized for.
         for engine in [cell.engines.0, cell.engines.1] {
             let trials = if engine == Engine::Exact { 2 } else { 4 };
             let spec = cell
@@ -328,111 +154,40 @@ fn default_grid_broadcast_cells_match_legacy() {
                 .with_engine(engine)
                 .with_trials(trials)
                 .with_seed(0xBCA57 ^ i as u64);
-            assert_spec_matches_legacy(&spec, &format!("broadcast grid cell {i} ({engine:?})"));
+            record(&spec, format!("broadcast cell {i} {engine:?}"), &mut got);
         }
     }
+    assert_pinned(&got, BROADCAST_GRID);
 }
 
 #[test]
-fn registry_entries_match_legacy() {
+fn registry_entries_are_pinned() {
     let entries = registry();
     assert!(!entries.is_empty(), "registry must not be empty");
+    let mut got = Vec::new();
     for entry in &entries {
         // The 10^6 scale-ceiling entry takes ~70 s per trial even on the
-        // cohort engine; replaying it through both paths would dominate
-        // the whole suite. Its engine dispatch is the same code path the
-        // n = 65536 entry certifies below, and the perf harness asserts
-        // its batch determinism end-to-end on every run.
+        // cohort engine; the n = 65536 entry covers the same dispatch.
         if let Workload::Broadcast(w) = &entry.spec.workload {
             if w.n > 65_536 {
                 continue;
             }
         }
-        // Stream entries predate no legacy entry point — there is nothing
-        // to replay. Their determinism and re-arm equivalence are pinned
-        // by `crates/sim/tests/rearm_equivalence.rs`.
+        // Stream entries are pinned by `rearm_equivalence.rs` and the
+        // perf grid's checksums.
         if matches!(entry.spec.workload, Workload::Stream(_)) {
             continue;
         }
         // Registry trial counts are sized for perf runs; cap them so the
-        // equivalence check stays cheap while still folding a multi-trial
-        // checksum. Seeds are the entries' own pinned seeds.
+        // suite stays cheap while still folding a multi-trial checksum.
+        // Seeds are the entries' own pinned seeds.
         let cap = match entry.spec.engine {
             Engine::Exact => 4,
-            // The cohort entry runs at n = 65536; two trials still fold
-            // a multi-trial checksum through both paths without
-            // dominating the suite.
             Engine::CohortFast => 2,
             Engine::Fast => 8,
         };
         let spec = entry.spec.clone().with_trials(entry.spec.trials.min(cap));
-        assert_spec_matches_legacy(&spec, entry.name);
+        record(&spec, entry.name.to_string(), &mut got);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Empty fault plan ≡ clean path
-// ---------------------------------------------------------------------------
-
-proptest! {
-    /// A duel spec carrying `FaultPlan::none()` replays the *clean*
-    /// (pre-faults) entry point bit for bit, and leaves the caller's RNG
-    /// in the identical stream position.
-    #[test]
-    fn empty_fault_plan_spec_is_byte_identical_to_clean_duel(
-        seed in any::<u64>(),
-        budget in 0u64..4096,
-    ) {
-        let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
-            .with_adversary(AdversarySpec::Budgeted { budget, fraction: 1.0 })
-            .with_faults(FaultPlan::none())
-            .with_seed(seed);
-
-        let mut rng_spec = RcbRng::new(seed);
-        let via_spec = spec.run(&mut rng_spec);
-
-        let mut rng_clean = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let clean = run_duel(
-            &Fig1Profile::with_start_epoch(0.1, 6),
-            &mut adv,
-            &mut rng_clean,
-            DuelConfig::default(),
-        );
-
-        match via_spec {
-            Ok(out) => prop_assert_eq!(out.into_duel(), clean),
-            Err(_) => prop_assert!(clean.truncated, "spec errored but clean run completed"),
-        }
-        prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
-    }
-
-    /// Broadcast flavor of the same invariant, at a small fixed `n`.
-    #[test]
-    fn empty_fault_plan_spec_is_byte_identical_to_clean_broadcast(
-        seed in any::<u64>(),
-        budget in 0u64..2048,
-    ) {
-        let spec = ScenarioSpec::broadcast(5)
-            .with_adversary(AdversarySpec::Budgeted { budget, fraction: 1.0 })
-            .with_faults(FaultPlan::none())
-            .with_seed(seed);
-        let params = match &spec.workload {
-            Workload::Broadcast(w) => w.params,
-            _ => unreachable!(),
-        };
-
-        let mut rng_spec = RcbRng::new(seed);
-        let via_spec = spec.run(&mut rng_spec);
-
-        let mut rng_clean = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let clean = run_broadcast(&params, 5, &mut adv, &mut rng_clean, FastConfig::default());
-
-        match via_spec {
-            Ok(out) => prop_assert_eq!(out.into_broadcast(), clean),
-            Err(_) => prop_assert!(clean.truncated, "spec errored but clean run completed"),
-        }
-        prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
-    }
+    assert_pinned(&got, REGISTRY);
 }

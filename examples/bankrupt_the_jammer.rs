@@ -33,8 +33,7 @@ fn main() {
         let mut delivered = 0u64;
         let mut truncated = 0u64;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(0xBA77E5 + seed + factor);
-            match spec.run(&mut rng) {
+            match spec.run(0xBA77E5 + seed + factor) {
                 Ok(outcome) => {
                     let out = outcome.into_duel();
                     alice_used += out.alice_cost;

@@ -23,9 +23,9 @@ fn run_one(label: &str, adversary: &mut dyn SlotAdversary, seed: u64) -> (String
     let partition = Partition::pair();
     let mut rng = RcbRng::new(seed);
     let mut trace = Trace::with_capacity(4096);
-    // The checked entry point: a run that hits the engine slot cap comes
-    // back as a typed error instead of silently clipped numbers.
-    let out = run_exact_checked(
+    // A run that hits the engine slot cap comes back with a typed error
+    // next to its (clipped) numbers.
+    let (out, err) = run_exact(
         &mut [&mut alice, &mut bob],
         adversary,
         &schedule,
@@ -34,8 +34,11 @@ fn run_one(label: &str, adversary: &mut dyn SlotAdversary, seed: u64) -> (String
         ExactConfig::default(),
         Some(&mut trace),
         &FaultPlan::none(),
-    )
-    .unwrap_or_else(|e| panic!("{label}: truncated at the engine slot cap: {e}"));
+        &Deadline::NONE,
+    );
+    if let Some(e) = err {
+        panic!("{label}: truncated at the engine slot cap: {e}");
+    }
     let jammed_slots = trace.records().iter().filter(|r| r.jam_mask != 0).count() as u64;
     (
         format!(

@@ -43,25 +43,29 @@ fn mean_duel_cost(protocol: DuelProtocol, budget: u64, trials: u64) -> (f64, u64
 fn mean_combined_cost(budget: u64, trials: u64) -> (f64, u64) {
     let fig1 = Fig1Profile::with_start_epoch(0.01, 8);
     let ksy = KsyProfile::new();
-    let results = run_trials(trials, 0xC0DE ^ budget, Parallelism::Auto, |_, rng| {
+    let results = run_trials(trials, 0xC0DE ^ budget, Parallelism::Auto, |_, seed| {
         let mut alice = combined_alice(fig1, ksy);
         let mut bob = combined_bob(fig1, ksy);
         let mut adv = BudgetedPhaseBlocker::new(budget, 1.0);
         let schedule = DuelSchedule::new(8);
         let partition = Partition::pair();
-        run_exact_checked(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
             &partition,
-            rng,
+            &mut RcbRng::new(seed),
             ExactConfig {
                 max_slots: (budget * 64).max(1 << 20),
             },
             None,
             &FaultPlan::none(),
-        )
-        .map(|out| out.ledger.max_node_cost() as f64)
+            &Deadline::NONE,
+        );
+        match err {
+            None => Ok(out.ledger.max_node_cost() as f64),
+            Some(e) => Err(e),
+        }
     });
     let mut sum = 0.0;
     let mut completed = 0u64;

@@ -23,8 +23,7 @@ fn main() {
             budget,
             fraction: 1.0,
         });
-        let mut rng = RcbRng::new(2014);
-        match spec.run(&mut rng) {
+        match spec.run(2014) {
             Ok(outcome) => {
                 let out = outcome.into_duel();
                 println!(

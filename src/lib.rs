@@ -12,7 +12,7 @@
 //! | Adaptive jamming/spoofing adversary strategies, incl. the lower-bound constructions | [`rcb_adversary`] |
 //! | The paper's algorithms: 1-to-1 (Figure 1), 1-to-n (Figure 2), combined | [`rcb_core`] |
 //! | Baselines: King–Saia–Young golden ratio, naive always-on, oblivious splits | [`rcb_baselines`] |
-//! | Exact and fast simulation engines, parallel Monte-Carlo runner | [`rcb_sim`] |
+//! | Exact, fast and cohort simulation engines, their sessions, the trial executor | [`rcb_sim`] |
 //! | Scaling fits and table rendering for the experiment harness | [`rcb_analysis`] |
 //! | Samplers, statistics, Chernoff calculators | [`rcb_mathkit`] |
 //!
@@ -29,8 +29,7 @@
 //! // with a budget of 10_000 slot-units.
 //! let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
 //!     .with_adversary(AdversarySpec::Budgeted { budget: 10_000, fraction: 1.0 });
-//! let mut rng = RcbRng::new(42);
-//! let outcome = spec.run(&mut rng).expect("well under the engine cap").into_duel();
+//! let outcome = spec.run(42).expect("well under the engine cap").into_duel();
 //!
 //! assert!(outcome.delivered, "after the budget is spent, m gets through");
 //! // Resource competitiveness: the good nodes spend far less than T.
@@ -45,18 +44,38 @@
 //! // Defaults: practical Figure-2 constants, node 0 informed, no jamming
 //! // (T = 0: the efficiency-function regime).
 //! let spec = ScenarioSpec::broadcast(32);
-//! let mut rng = RcbRng::new(7);
-//! let out = spec.run(&mut rng).expect("unjammed runs finish early").into_broadcast();
+//! let out = spec.run(7).expect("unjammed runs finish early").into_broadcast();
 //! assert!(out.all_informed && out.all_terminated);
 //! ```
 //!
 //! The pinned perf scenarios are published as a named registry:
 //! [`registry()`](rcb_sim::scenario::registry) /
 //! [`find_scenario`](rcb_sim::scenario::find_scenario) in the library,
-//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. The
-//! low-level entry points (`run_duel`, `run_broadcast`, `run_exact`, and
-//! their checked/faulted variants) remain for direct engine access and
-//! are bit-identical to the spec path.
+//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI.
+//!
+//! ## Driving an engine directly
+//!
+//! A spec's trial builds the engine's session at the trial's seed and runs
+//! it. Holding the session yourself lets one allocation serve many runs:
+//! [`Session::rearm`](rcb_sim::session::Session::rearm) resets it to slot 0
+//! on a fresh seed. The exact engine's
+//! [`run_exact`](rcb_sim::exact::run_exact) drives any set of
+//! [`SlotProtocol`](rcb_core::protocol::SlotProtocol) nodes.
+//!
+//! ```
+//! use rcb::prelude::*;
+//!
+//! let profile = Fig1Profile::with_start_epoch(0.01, 8);
+//! let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 1);
+//! let mut delivered = 0;
+//! for seed in 1..=8 {
+//!     session.rearm(seed);
+//!     let (out, err) = session.run(&mut BudgetedRepBlocker::new(4096, 1.0), &Deadline::NONE);
+//!     assert!(err.is_none(), "well under the engine caps");
+//!     delivered += out.delivered as u32;
+//! }
+//! assert!(delivered >= 7);
+//! ```
 
 pub use rcb_adversary as adversary;
 pub use rcb_analysis as analysis;
@@ -89,23 +108,24 @@ pub mod prelude {
     };
     pub use rcb_core::protocol::{Schedule, SlotProtocol};
     pub use rcb_mathkit::rng::{RcbRng, SeedSequence};
+    pub use rcb_sim::cohort::{CohortConfig, CohortSession};
     pub use rcb_sim::conformance::{
         default_grid, replay_broadcast_trace, replay_duel_trace, run_broadcast_cell, run_duel_cell,
         run_grid, BroadcastCell, ConformanceConfig, DuelCell, GridReport,
     };
-    pub use rcb_sim::duel::{run_duel, run_duel_checked, run_duel_faulted, DuelConfig};
+    pub use rcb_sim::deadline::Deadline;
+    pub use rcb_sim::duel::{DuelConfig, DuelSession};
     pub use rcb_sim::error::{SimError, TrialFailure};
-    pub use rcb_sim::exact::{run_exact, run_exact_checked, run_exact_faulted, ExactConfig};
-    pub use rcb_sim::fast::{
-        run_broadcast, run_broadcast_checked, run_broadcast_faulted, FastConfig,
-    };
+    pub use rcb_sim::exact::{run_exact, ExactConfig};
+    pub use rcb_sim::fast::{BroadcastSession, FastConfig};
     pub use rcb_sim::faults::{FaultConfigError, FaultPlan};
     pub use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
-    pub use rcb_sim::runner::{run_trials, run_trials_isolated, Parallelism};
+    pub use rcb_sim::runner::{run_trials, Parallelism};
     pub use rcb_sim::scenario::{
         find_scenario, registry, AdversarySpec, BroadcastWorkload, DuelProtocol, DuelWorkload,
         Engine, NamedScenario, Outcome, ScenarioSpec, SeedPolicy, Workload,
     };
+    pub use rcb_sim::session::{ExactBroadcastSession, Session};
 }
 
 /// Compiles the README's code blocks as doctests so the front-page example

@@ -19,7 +19,7 @@ fn run_with_spoofer(budget: u64, seed: u64) -> (u64, u64, bool, bool) {
     let partition = Partition::pair();
     let mut rng = RcbRng::new(seed);
     let mut adv = NackSpoofer::new(budget, 4, seed ^ 0x5F00F);
-    let out = run_exact(
+    let (out, _) = run_exact(
         &mut [&mut alice, &mut bob],
         &mut adv,
         &schedule,
@@ -29,6 +29,8 @@ fn run_with_spoofer(budget: u64, seed: u64) -> (u64, u64, bool, bool) {
             max_slots: 10_000_000,
         },
         None,
+        &FaultPlan::none(),
+        &Deadline::NONE,
     );
     (
         out.ledger.node_cost(0),
@@ -112,7 +114,7 @@ fn trace_exposes_spoofed_nacks_and_replays_cleanly() {
     let mut rng = RcbRng::new(11);
     let mut adv = NackSpoofer::new(40, 4, 0x5F00F);
     let mut trace = Trace::with_capacity(1 << 22);
-    let out = run_exact(
+    let (out, _) = run_exact(
         &mut [&mut alice, &mut bob],
         &mut adv,
         &schedule,
@@ -122,6 +124,8 @@ fn trace_exposes_spoofed_nacks_and_replays_cleanly() {
             max_slots: 10_000_000,
         },
         Some(&mut trace),
+        &FaultPlan::none(),
+        &Deadline::NONE,
     );
     assert!(out.completed);
     assert_eq!(trace.dropped(), 0);
@@ -165,7 +169,7 @@ fn without_spoofing_alice_halts_cheaply() {
     let partition = Partition::pair();
     let mut rng = RcbRng::new(9);
     let mut adv = NoJam;
-    let out = run_exact(
+    let (out, _) = run_exact(
         &mut [&mut alice, &mut bob],
         &mut adv,
         &schedule,
@@ -173,6 +177,8 @@ fn without_spoofing_alice_halts_cheaply() {
         &mut rng,
         ExactConfig::default(),
         None,
+        &FaultPlan::none(),
+        &Deadline::NONE,
     );
     assert!(out.completed);
     assert!(out.slots <= 4 * 128, "one or two epochs at most");

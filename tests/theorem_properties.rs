@@ -8,15 +8,33 @@ use rcb_mathkit::sample::{bernoulli, binomial, sample_slots};
 use rcb_mathkit::PHI_MINUS_ONE;
 use rcb_sim::lowerbound::{golden_ratio_game, product_game};
 
+/// One clean fast-engine duel: a fresh session at `seed`.
+fn duel<P: DuelProfile>(
+    profile: P,
+    adversary: &mut dyn RepetitionAdversary,
+    seed: u64,
+) -> DuelOutcome {
+    DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+        .run(adversary, &Deadline::NONE)
+        .0
+}
+
+/// One clean practical-parameter broadcast from node 0 at `seed`.
+fn broadcast(n: usize, adversary: &mut dyn RepetitionAdversary, seed: u64) -> BroadcastOutcome {
+    let (params, config) = (OneToNParams::practical(), FastConfig::default());
+    BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
+        .run(adversary, &Deadline::NONE)
+        .0
+}
+
 /// Theorem 1 success guarantee: delivery probability ≥ 1 − ε under an
 /// adaptive blanket blocker.
 #[test]
 fn theorem1_success_probability_under_attack() {
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     let trials = 200u64;
-    let outcomes = run_trials(trials, 77, Parallelism::Auto, |_, rng| {
-        let mut adv = BudgetedRepBlocker::new(20_000, 1.0);
-        run_duel(&profile, &mut adv, rng, DuelConfig::default())
+    let outcomes = run_trials(trials, 77, Parallelism::Auto, |_, seed| {
+        duel(profile, &mut BudgetedRepBlocker::new(20_000, 1.0), seed)
     });
     let delivered = outcomes.iter().filter(|o| o.delivered).count();
     // ε = 0.05 nominal with a scaled-down start epoch: allow 3× slack.
@@ -34,9 +52,8 @@ fn theorem1_cost_scaling_exponent() {
     let mut ys = Vec::new();
     for k in [10u32, 12, 14, 16, 18] {
         let budget = 1u64 << k;
-        let outcomes = run_trials(60, 123 ^ budget, Parallelism::Auto, |_, rng| {
-            let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+        let outcomes = run_trials(60, 123 ^ budget, Parallelism::Auto, |_, seed| {
+            duel(profile, &mut BudgetedRepBlocker::new(budget, 1.0), seed)
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -63,13 +80,11 @@ fn theorem1_cost_scaling_exponent() {
 /// as the system grows.
 #[test]
 fn theorem3_cost_decreases_with_n() {
-    let params = OneToNParams::practical();
     let budget = 1u64 << 21;
     let mut means = Vec::new();
     for n in [8usize, 32, 64] {
-        let outcomes = run_trials(8, 55 + n as u64, Parallelism::Auto, |_, rng| {
-            let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_broadcast(&params, n, &mut adv, rng, FastConfig::default())
+        let outcomes = run_trials(8, 55 + n as u64, Parallelism::Auto, |_, seed| {
+            broadcast(n, &mut BudgetedRepBlocker::new(budget, 1.0), seed)
         });
         let mean: f64 = outcomes.iter().map(|o| o.mean_cost()).sum::<f64>() / outcomes.len() as f64;
         means.push((n, mean));
@@ -85,10 +100,8 @@ fn theorem3_cost_decreases_with_n() {
 /// Theorem 3 correctness: everyone is informed w.h.p. even under attack.
 #[test]
 fn theorem3_all_informed_under_attack() {
-    let params = OneToNParams::practical();
-    let outcomes = run_trials(12, 99, Parallelism::Auto, |_, rng| {
-        let mut adv = BudgetedRepBlocker::new(30_000, 1.0);
-        run_broadcast(&params, 24, &mut adv, rng, FastConfig::default())
+    let outcomes = run_trials(12, 99, Parallelism::Auto, |_, seed| {
+        broadcast(24, &mut BudgetedRepBlocker::new(30_000, 1.0), seed)
     });
     let ok = outcomes
         .iter()
@@ -140,9 +153,8 @@ fn ksy_baseline_has_golden_ratio_exponent() {
     let mut ys = Vec::new();
     for k in [10u32, 12, 14, 16, 18, 20] {
         let budget = 1u64 << k;
-        let outcomes = run_trials(60, 31 ^ budget, Parallelism::Auto, |_, rng| {
-            let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+        let outcomes = run_trials(60, 31 ^ budget, Parallelism::Auto, |_, seed| {
+            duel(profile, &mut BudgetedRepBlocker::new(budget, 1.0), seed)
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -293,9 +305,8 @@ fn sampler_slots_match_naive_per_slot_flips() {
 fn latency_linear_in_t() {
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     let budget = 1u64 << 16;
-    let outcomes = run_trials(40, 31, Parallelism::Auto, |_, rng| {
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_duel(&profile, &mut adv, rng, DuelConfig::default())
+    let outcomes = run_trials(40, 31, Parallelism::Auto, |_, seed| {
+        duel(profile, &mut BudgetedRepBlocker::new(budget, 1.0), seed)
     });
     for o in &outcomes {
         assert!(

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths: channel slot resolution,
 //! the exact binomial/Bernoulli-process samplers, one full 1-to-1 epoch on
-//! the fast engine, one 1-to-n repetition, and the parallel trial runner.
+//! the fast engine, one full 1-to-n run on the default (cohort) engine, and
+//! the parallel trial runner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcb_adversary::rep_strategies::NoJamRep;
@@ -12,9 +13,9 @@ use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::sample::{binomial, sample_slots};
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 use rcb_sim::session::Session;
@@ -77,9 +78,8 @@ fn bench_broadcast(c: &mut Criterion) {
     for n in [8usize, 64] {
         group.bench_with_input(BenchmarkId::new("unjammed_full_run", n), &n, |b, &n| {
             let params = OneToNParams::practical();
-            let config = FastConfig::default();
-            let mut session =
-                BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), 4);
+            let config = CohortConfig::default();
+            let mut session = CohortSession::new(params, n, vec![0], config, FaultPlan::none(), 4);
             let mut seed = 4;
             b.iter(|| {
                 session.rearm(seed);

@@ -175,14 +175,17 @@ COMMANDS:
   duel       1-to-1 broadcast (Figure 1 / KSY) vs a blanket blocker
              --profile fig1|ksy   --epsilon F   --budget N
              --q F (block fraction)   --trials N   --seed N
-  broadcast  1-to-n broadcast (Figure 2)
+  broadcast  1-to-n broadcast (Figure 2) on the cohort engine
              --n N   --budget N   --adversary suffix|random|keepalive|none
              --q F   --trials N   --seed N
+             Up to n = 384 every node is tracked individually. Above
+             that the population is compressed into cohorts, whose
+             pooled costs bias the max node cost low (DESIGN.md §13).
   product    Theorem 2 product game
              --budget N   --delta F   --trials N   --seed N
   golden     Theorem 5 golden-ratio sweep
              --budget N   --trials N   --seed N
-  conformance  cross-engine agreement grid (exact vs fast engines)
+  conformance  cross-engine agreement grid (exact, fast and cohort engines)
              --trials N (default 200)   --seed N (default 2014)
              --alpha F (default 0.001)
   perf       pinned perf grid → BENCH_<git-sha>.json (slots/sec,
@@ -1013,6 +1016,9 @@ mod tests {
     fn help_and_unknown_commands() {
         let help = run_cli(&parse(&["help"]).expect("parse")).expect("help");
         assert!(help.contains("USAGE"));
+        // The broadcast help names the cohort engine's all-tracked limit.
+        let threshold = rcb_sim::cohort::CohortConfig::default().exact_member_threshold;
+        assert!(help.contains(&format!("Up to n = {threshold} every node")));
         let none = run_cli(&parse(&[]).expect("parse")).expect("default");
         assert!(none.contains("USAGE"));
         assert!(run_cli(&parse(&["frobnicate"]).expect("parse")).is_err());

@@ -32,9 +32,9 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 use rcb_sim::session::Session;
@@ -119,9 +119,9 @@ pub fn run(scale: &Scale) -> String {
         let bc_results = run_trials(bc_trials, scale.seed ^ 0xB11, Parallelism::Auto, {
             move |i, seed| {
                 let mut adv = strategy.build(budget, i ^ 0xB11);
-                let config = FastConfig::default();
+                let config = CohortConfig::default();
                 let mut session =
-                    BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed);
+                    CohortSession::new(params, n, vec![0], config, FaultPlan::none(), seed);
                 checked(session.run(adv.as_mut(), &Deadline::NONE))
             }
         });

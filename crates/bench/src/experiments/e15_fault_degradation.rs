@@ -24,9 +24,9 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 use rcb_sim::session::Session;
@@ -86,8 +86,8 @@ struct BroadcastCellResult {
 fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> BroadcastCellResult {
     let params = OneToNParams::practical();
     let results = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
-        let config = FastConfig::default();
-        let mut session = BroadcastSession::new(params, n, vec![0], config, plan, seed);
+        let config = CohortConfig::default();
+        let mut session = CohortSession::new(params, n, vec![0], config, plan, seed);
         checked(session.run(&mut NoJamRep, &Deadline::NONE))
     });
     let (outcomes, truncated) = split_truncated(results);

@@ -3,8 +3,8 @@
 //!
 //! The streaming workload (`Workload::Stream`) turns broadcast into a
 //! FIFO single-server queue: messages arrive by a Poisson process, each is
-//! served by re-arming one `BroadcastSession` and running it to
-//! completion. Classical queueing says the system is stable iff
+//! served by re-arming one broadcast session (the cohort engine, every
+//! node tracked at this n) and running it to completion. Classical queueing says the system is stable iff
 //! ρ = λ·E\[service\] < 1; past that the queue grows with the horizon and
 //! latency diverges. The jammer bends this picture, and *how* it bends it
 //! depends on the allocation policy:
@@ -157,7 +157,7 @@ pub fn run(scale: &Scale) -> String {
     let s_clean = service_probe(false, scale.trials(12), seed ^ 0x5E);
     let s_jam = service_probe(true, scale.trials(12), seed ^ 0x5F);
     out.push_str(&format!(
-        "calibration (n = {N}, fast engine, blocker T = {BUDGET}): \
+        "calibration (n = {N}, cohort engine, blocker T = {BUDGET}): \
          E[service] clean = {}, jammed = {} slots \
          (inflation ×{:.2})\n\n",
         num(s_clean),

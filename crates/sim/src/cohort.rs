@@ -30,21 +30,27 @@
 //!    until a drawn outcome differs, at which point the cohort splits;
 //!    sub-cohorts whose states re-converge (epoch reset) re-merge.
 //!
-//! Below [`CohortConfig::exact_member_threshold`] members (and always under
+//! Up to [`CohortConfig::exact_member_threshold`] members (and always under
 //! a battery fault, whose per-node energy gauge breaks every symmetry) the
-//! engine tracks *every* node as a singleton: per-node dynamics are then
-//! exact, which is the regime the conformance differ gates at n ≤ 256.
+//! engine tracks *every* node as a singleton, with exact per-node marginals
+//! and individual costs. This all-tracked regime runs every default
+//! broadcast scenario up to n = 384, and the conformance differ gates it
+//! against [`fast`](crate::fast) and the exact engine at n ≤ 256.
 //!
 //! ## Documented approximations (relative to [`fast`](crate::fast))
 //!
-//! All engines agree only *in distribution* — but this engine's per-node
-//! marginals carry three deliberate deviations, each negligible at the
-//! scales where it is active and absent in all-singleton mode where noted:
+//! All engines agree only *in distribution* — but this engine carries three
+//! deliberate deviations. The first is present in every mode; the other
+//! two exist only for anonymous cohorts and so vanish in all-tracked mode:
 //!
-//! * **Hearing decoupling.** Two listeners of the same slot hear the same
-//!   thing in `fast`; here each node's heard counts are drawn
-//!   independently given the composition. Per-node marginals are exact;
-//!   only cross-node correlations differ.
+//! * **Hearing decoupling (all modes).** Two listeners of the same slot
+//!   hear the same thing in `fast`; here each node's heard `clear` and
+//!   `msgs` counts are drawn as independent binomials given the region
+//!   composition, and independently of its own send/listen cost draws.
+//!   Tracked singletons draw this way too, so all-tracked mode keeps the
+//!   decoupling. Per-node marginals are exact; cross-node correlations, and
+//!   the coupling between a node's listen count and what it heard, are
+//!   not.
 //! * **Own-singleton exclusion for anonymous cohorts.** An anonymous
 //!   informed node's heard-message draw does not exclude the handful of
 //!   singleton slots it produced itself (tracked singletons do). Helper
@@ -54,7 +60,7 @@
 //! * **Cost pooling.** Anonymous cohorts draw send/listen *totals*
 //!   (`Binomial(count·slots, p)`), exact for sums — so `mean_cost` is
 //!   exact — and smear them evenly across members on output, so per-node
-//!   cost spread (`max_cost`) is compressed at large n. All-singleton mode
+//!   cost spread (`max_cost`) is compressed at large n. All-tracked mode
 //!   draws per-node costs individually and has no smearing.
 
 use std::collections::HashMap;
@@ -80,9 +86,10 @@ pub struct CohortConfig {
     /// semantics as [`FastConfig::max_epoch`](crate::fast::FastConfig).
     pub max_epoch: u32,
     /// Populations up to this size are simulated with every node as a
-    /// tracked singleton (exact per-node dynamics); larger populations use
-    /// anonymous cohorts. The default keeps every conformance grid size
-    /// (n ≤ 256) in exact mode with headroom.
+    /// tracked singleton (exact per-node marginals and individual costs);
+    /// larger populations use anonymous cohorts. The default keeps every
+    /// conformance grid size (n ≤ 256) and every experiment (n ≤ 128) in
+    /// all-tracked mode with headroom.
     pub exact_member_threshold: usize,
 }
 

@@ -1,4 +1,5 @@
-//! Statistical differ: paired trial batches on the exact and fast engines.
+//! Statistical differ: paired trial batches on two engines (exact, fast or
+//! cohort).
 //!
 //! Each *cell* fixes a protocol configuration and an adversary policy; the
 //! harness runs `trials` independent executions per engine (deterministic
@@ -21,7 +22,7 @@
 //!
 //! ## Reading the worst p-value
 //!
-//! A full default-grid run computes on the order of 150 p-values (16 cells
+//! A full default-grid run computes on the order of 150 p-values (17 cells
 //! × 4–5 verdict metrics × 2 tests), so under the null the *minimum* of
 //! them is routinely in the 0.01–0.05 range — that is what the order
 //! statistic of ~100 uniforms looks like, not evidence of drift. The gate
@@ -605,8 +606,31 @@ pub fn default_grid() -> (Vec<DuelCell>, Vec<BroadcastCell>) {
         BroadcastCell::new(64, 4, AdversarySpec::NoJam)
             .with_fault(FaultPlan::none().with_crash(1, 2, 6, true))
             .versus(Engine::Fast, Engine::CohortFast),
+        cohort_loss_skew_cell(),
     ];
     (duels, broadcasts)
+}
+
+/// The fault mix of the `bcast_n64_faulted` registry entry — loss, a
+/// crash-reboot, and a skewed clock — on a jammed n = 64 population, cohort
+/// against fast. It drives the cohort engine's lossy hearing draws and its
+/// skew-prefix regions, jammed and clear, which no other cell reaches.
+fn cohort_loss_skew_cell() -> BroadcastCell {
+    BroadcastCell::new(
+        64,
+        4,
+        AdversarySpec::Budgeted {
+            budget: 4096,
+            fraction: 1.0,
+        },
+    )
+    .with_fault(
+        FaultPlan::none()
+            .with_loss(0.1)
+            .with_crash(3, 2, 6, true)
+            .with_skew(5, 1),
+    )
+    .versus(Engine::Fast, Engine::CohortFast)
 }
 
 /// Runs a grid of cells and collects the verdicts. Cells are sharded
@@ -794,6 +818,23 @@ mod tests {
         assert!(
             !report.diverges(1e-3),
             "cohort engine diverges from fast on a crash–restart cell:\n{:#?}",
+            report
+        );
+    }
+
+    #[test]
+    fn cohort_vs_fast_loss_skew_cell_agrees() {
+        let cell = cohort_loss_skew_cell();
+        let cfg = ConformanceConfig {
+            trials: 25,
+            ..small_cfg()
+        };
+        let report = run_broadcast_cell(&cell, &cfg);
+        assert!(report.name.contains("[fast vs cohort]"), "{}", report.name);
+        assert!(report.name.contains("skew"), "{}", report.name);
+        assert!(
+            !report.diverges(1e-3),
+            "cohort engine diverges from fast under loss, crash-reboot and skew:\n{:#?}",
             report
         );
     }

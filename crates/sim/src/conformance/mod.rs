@@ -1,8 +1,9 @@
 //! Cross-engine conformance harness.
 //!
-//! The fast engines ([`crate::duel`], [`crate::fast`]) must agree with the
-//! exact slot-level engine ([`crate::exact`]) *in distribution* — they
-//! consume randomness differently, so trajectories cannot match run-for-run.
+//! The fast engines ([`crate::duel`], [`crate::fast`], [`crate::cohort`])
+//! must agree with the exact slot-level engine ([`crate::exact`]) *in
+//! distribution* — they consume randomness differently, so trajectories
+//! cannot match run-for-run.
 //! This module packages the two tools that check the agreement:
 //!
 //! * [`differ`] — a statistical differ: paired trial batches on both

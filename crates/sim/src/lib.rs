@@ -16,7 +16,10 @@
 //!   positions, implemented by geometric skips in `rcb-mathkit` — so these
 //!   engines agree with [`exact`] in distribution; integration tests
 //!   cross-validate them.
-//! * [`cohort`] — the population-compressed 1-to-n engine for large n.
+//! * [`cohort`] — the default 1-to-n engine: every node tracked
+//!   individually up to [`cohort::CohortConfig::exact_member_threshold`]
+//!   nodes (the per-node dynamics of [`fast`], ~20× faster), and
+//!   population-compressed cohorts above it, for n up to 10^6.
 //!
 //! The duel, fast-broadcast and cohort engines are driven only through
 //! their [`session`]s ([`duel::DuelSession`], [`fast::BroadcastSession`],

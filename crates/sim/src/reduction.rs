@@ -9,10 +9,11 @@
 //! `E(A′_bob) ≤ n·g(T)` where `g(T)` is the fair per-node cost — and
 //! Theorem 2's product bound `E(A)·E(B) = Ω(T)` forces `g(T) = Ω(√(T/n))`.
 //!
-//! [`simulate_reduction`] executes `A′` concretely: it runs the 1-to-n fast
-//! engine, splits the measured costs into the Alice/Bob sides of `A′`
-//! (sender's cost doubled by the slot pairing; receivers' costs pooled into
-//! Bob), and reports the product `E(A′_alice)·E(A′_bob)` normalized by `T`.
+//! [`simulate_reduction`] executes `A′` concretely: it runs the 1-to-n
+//! cohort engine (every node tracked at these n), splits the measured
+//! costs into the Alice/Bob sides of `A′` (sender's cost doubled by the
+//! slot pairing; receivers' costs pooled into Bob), and reports the product
+//! `E(A′_alice)·E(A′_bob)` normalized by `T`.
 //! Experiment E7 uses it to show the product bound holds *through the
 //! reduction*, which is the step that makes Theorem 4 a corollary of
 //! Theorem 2.
@@ -22,8 +23,8 @@ use rcb_core::one_to_n::OneToNParams;
 use rcb_mathkit::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 
+use crate::cohort::{CohortConfig, CohortSession};
 use crate::deadline::Deadline;
-use crate::fast::{BroadcastSession, FastConfig};
 use crate::faults::FaultPlan;
 use crate::runner::{run_trials, Parallelism};
 use crate::session::Session;
@@ -66,9 +67,8 @@ pub fn simulate_reduction(
         "the reduction needs a sender and at least one receiver"
     );
     let outcomes = run_trials(trials, seed, Parallelism::Auto, |_, seed| {
-        let config = FastConfig::default();
-        let mut session =
-            BroadcastSession::new(*params, n, vec![0], config, FaultPlan::none(), seed);
+        let config = CohortConfig::default();
+        let mut session = CohortSession::new(*params, n, vec![0], config, FaultPlan::none(), seed);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
         session.run(&mut adv, &Deadline::NONE).0
     });

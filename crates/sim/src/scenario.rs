@@ -159,7 +159,7 @@ pub struct BroadcastWorkload {
     pub params: OneToNParams,
     pub n: usize,
     pub sources: Vec<usize>,
-    /// Fast-engine epoch cap ([`FastConfig::max_epoch`]).
+    /// Fast/cohort epoch cap ([`CohortConfig::max_epoch`]).
     pub max_epoch: u32,
     /// Exact-engine slot cap. Defaults to the conformance grid's
     /// 40 M-slot budget (broadcast cells are tiny; the duel default of
@@ -247,7 +247,7 @@ pub struct StreamWorkload {
     pub params: OneToNParams,
     pub n: usize,
     pub sources: Vec<usize>,
-    /// Fast/cohort per-message epoch cap ([`FastConfig::max_epoch`]).
+    /// Fast/cohort per-message epoch cap ([`CohortConfig::max_epoch`]).
     pub max_epoch: u32,
     /// Exact-engine per-message slot cap.
     pub exact_max_slots: u64,
@@ -287,9 +287,11 @@ pub enum Engine {
     /// The slot-by-slot reference engine ([`crate::exact`]).
     Exact,
     /// The population-compressed engine ([`crate::cohort`]): broadcast
-    /// workloads only, `O(active cohorts)` per repetition instead of
-    /// `O(n)` — the large-n (10^4…10^6) engine. Agrees with the others in
-    /// distribution up to the approximations documented on
+    /// workloads only, and their default. Up to
+    /// [`CohortConfig::exact_member_threshold`] nodes it tracks every node
+    /// individually, with the per-node dynamics of [`crate::fast`] at a
+    /// fraction of the cost; above it a repetition costs `O(active
+    /// cohorts)` instead of `O(n)`, with the approximations documented on
     /// [`crate::cohort`].
     CohortFast,
 }
@@ -441,23 +443,26 @@ impl ScenarioSpec {
         }
     }
 
-    /// A fast-engine 1-to-n scenario over `OneToNParams::practical()`.
+    /// A cohort-engine 1-to-n scenario over `OneToNParams::practical()`.
     pub fn broadcast(n: usize) -> Self {
         Self::broadcast_with(OneToNParams::practical(), n)
     }
 
-    /// A fast-engine 1-to-n scenario over explicit params; node 0 is the
-    /// source.
+    /// A cohort-engine 1-to-n scenario over explicit params; node 0 is the
+    /// source. Up to [`CohortConfig::exact_member_threshold`] nodes the
+    /// cohort engine tracks every node individually (exact per-node
+    /// dynamics); above it the population is compressed into cohorts,
+    /// whose pooled costs bias `max_cost` low (see [`crate::cohort`]).
     pub fn broadcast_with(params: OneToNParams, n: usize) -> Self {
         Self {
             workload: Workload::Broadcast(BroadcastWorkload {
                 params,
                 n,
                 sources: vec![0],
-                max_epoch: FastConfig::default().max_epoch,
+                max_epoch: CohortConfig::default().max_epoch,
                 exact_max_slots: 40_000_000,
             }),
-            engine: Engine::Fast,
+            engine: Engine::CohortFast,
             adversary: AdversarySpec::NoJam,
             faults: FaultPlan::none(),
             seeds: SeedPolicy::new(2014),
@@ -466,7 +471,7 @@ impl ScenarioSpec {
         }
     }
 
-    /// A fast-engine streaming scenario over `OneToNParams::practical()`:
+    /// A cohort-engine streaming scenario over `OneToNParams::practical()`:
     /// node 0 is the source of every message, one persistent jammer budget
     /// spans the stream.
     pub fn stream(n: usize, arrival: ArrivalSpec, horizon: u64) -> Self {
@@ -475,13 +480,13 @@ impl ScenarioSpec {
                 params: OneToNParams::practical(),
                 n,
                 sources: vec![0],
-                max_epoch: FastConfig::default().max_epoch,
+                max_epoch: CohortConfig::default().max_epoch,
                 exact_max_slots: 40_000_000,
                 arrival,
                 horizon,
                 alloc: StreamAlloc::Persistent,
             }),
-            engine: Engine::Fast,
+            engine: Engine::CohortFast,
             adversary: AdversarySpec::NoJam,
             faults: FaultPlan::none(),
             seeds: SeedPolicy::new(2014),
@@ -551,15 +556,29 @@ impl ScenarioSpec {
             }
             Ok(())
         };
-        // Fig-2 rate constants outside (0, ∞) run straight to the epoch cap
-        // (or, with d < 0, "simulate" astronomically many slots).
-        let check_params = |p: &OneToNParams| -> Result<(), String> {
-            for (name, v) in [("b", p.b), ("d", p.d), ("s_init", p.s_init)] {
+        // Fig-2 constants outside (0, ∞) run straight to the epoch cap (or,
+        // with d < 0, "simulate" astronomically many slots), and so does a
+        // first epoch past the cap.
+        let check_params = |p: &OneToNParams, max_epoch: u32| -> Result<(), String> {
+            for (name, v) in [
+                ("b", p.b),
+                ("d", p.d),
+                ("s_init", p.s_init),
+                ("helper_frac", p.helper_frac),
+                ("term_factor", p.term_factor),
+                ("safety_factor", p.safety_factor),
+            ] {
                 if !(v.is_finite() && v > 0.0) {
                     return Err(format!(
                         "broadcast parameter {name} = {v} must be finite and > 0"
                     ));
                 }
+            }
+            if p.first_epoch > max_epoch {
+                return Err(format!(
+                    "first epoch {} exceeds the epoch cap {max_epoch}",
+                    p.first_epoch
+                ));
             }
             Ok(())
         };
@@ -573,11 +592,11 @@ impl ScenarioSpec {
             }
             Workload::Broadcast(w) => {
                 check_population(w.n, &w.sources)?;
-                check_params(&w.params)?;
+                check_params(&w.params, w.max_epoch)?;
             }
             Workload::Stream(w) => {
                 check_population(w.n, &w.sources)?;
-                check_params(&w.params)?;
+                check_params(&w.params, w.max_epoch)?;
                 if w.horizon == 0 {
                     return Err("stream workload needs a horizon of at least one slot".into());
                 }
@@ -1758,22 +1777,22 @@ pub fn registry() -> Vec<NamedScenario> {
         },
         NamedScenario {
             name: "bcast_n8_jammed",
-            summary: "fast broadcast, n=8, 100 k-budget blocker",
+            summary: "cohort broadcast (all tracked), n=8, 100 k-budget blocker",
             spec: bcast(8, 100_000, FaultPlan::none(), 60),
         },
         NamedScenario {
             name: "bcast_n64_jammed",
-            summary: "fast broadcast, n=64, 200 k-budget blocker",
+            summary: "cohort broadcast (all tracked), n=64, 200 k-budget blocker",
             spec: bcast(64, 200_000, FaultPlan::none(), 20),
         },
         NamedScenario {
             name: "bcast_n256_jammed",
-            summary: "fast broadcast, n=256, 400 k-budget blocker",
+            summary: "cohort broadcast (all tracked), n=256, 400 k-budget blocker",
             spec: bcast(256, 400_000, FaultPlan::none(), 8),
         },
         NamedScenario {
             name: "bcast_n64_faulted",
-            summary: "jammed n=64 broadcast with loss, crash-reboot, skew",
+            summary: "jammed n=64 cohort broadcast with loss, crash-reboot, skew",
             spec: bcast(
                 64,
                 200_000,
@@ -1785,11 +1804,12 @@ pub fn registry() -> Vec<NamedScenario> {
             ),
         },
         // Streaming entries: queue-driven workloads draining through one
-        // re-armed session, one entry per engine so `rcbsim scenario run`
-        // demonstrates streaming end-to-end everywhere.
+        // re-armed session, on the exact engine and on both cohort regimes
+        // (all tracked, compressed), so `rcbsim scenario run` demonstrates
+        // streaming end-to-end on each.
         NamedScenario {
             name: "stream_n8_poisson",
-            summary: "fast stream, n=8, Poisson arrivals vs persistent 20 k jammer",
+            summary: "cohort stream (all tracked), n=8, Poisson arrivals vs persistent 20 k jammer",
             spec: ScenarioSpec::stream(8, ArrivalSpec::Poisson { rate: 2e-4 }, 50_000)
                 .with_adversary(AdversarySpec::Budgeted {
                     budget: 20_000,
@@ -1818,7 +1838,8 @@ pub fn registry() -> Vec<NamedScenario> {
         },
         NamedScenario {
             name: "stream_n4096_cohort",
-            summary: "cohort stream, n=4096, scheduled arrivals, persistent 50 k jammer",
+            summary:
+                "cohort stream (compressed), n=4096, scheduled arrivals, persistent 50 k jammer",
             spec: ScenarioSpec::stream(
                 4096,
                 ArrivalSpec::Schedule {
@@ -1826,7 +1847,6 @@ pub fn registry() -> Vec<NamedScenario> {
                 },
                 10_000,
             )
-            .with_engine(Engine::CohortFast)
             .with_adversary(AdversarySpec::Budgeted {
                 budget: 50_000,
                 fraction: 1.0,
@@ -1839,15 +1859,13 @@ pub fn registry() -> Vec<NamedScenario> {
         // serial perf pass.
         NamedScenario {
             name: "bcast_n65536",
-            summary: "cohort broadcast, n=65536, 2 M-budget blocker",
-            spec: bcast(65_536, 2_000_000, FaultPlan::none(), 4).with_engine(Engine::CohortFast),
+            summary: "cohort broadcast (compressed), n=65536, 2 M-budget blocker",
+            spec: bcast(65_536, 2_000_000, FaultPlan::none(), 4),
         },
         NamedScenario {
             name: "bcast_n1e6",
-            summary: "cohort broadcast, n=10^6, no jamming (scale ceiling)",
-            spec: ScenarioSpec::broadcast(1_000_000)
-                .with_trials(2)
-                .with_engine(Engine::CohortFast),
+            summary: "cohort broadcast (compressed), n=10^6, no jamming (scale ceiling)",
+            spec: ScenarioSpec::broadcast(1_000_000).with_trials(2),
         },
     ]
 }
@@ -1878,6 +1896,58 @@ mod tests {
     }
 
     #[test]
+    fn small_registry_broadcasts_run_the_all_tracked_cohort_engine() {
+        use crate::cohort::run_cohort_instrumented;
+        use rcb_mathkit::rng::SeedSequence;
+
+        let threshold = CohortConfig::default().exact_member_threshold;
+        let mut checked = 0;
+        for entry in registry() {
+            let (params, n, sources, max_epoch) = match &entry.spec.workload {
+                Workload::Broadcast(w) => (w.params, w.n, &w.sources, w.max_epoch),
+                Workload::Stream(w) => (w.params, w.n, &w.sources, w.max_epoch),
+                Workload::Duel(_) => continue,
+            };
+            if n > threshold || entry.spec.engine == Engine::Exact {
+                continue;
+            }
+            assert_eq!(entry.spec.engine, Engine::CohortFast, "{}", entry.name);
+            let spec = &entry.spec;
+            let mut adv = spec.adversary.build(spec.seeds.adversary_seed(0));
+            let mut rng = RcbRng::new(SeedSequence::new(spec.seeds.master).child(0));
+            let config = CohortConfig {
+                max_epoch,
+                ..CohortConfig::default()
+            };
+            let (out, stats) =
+                run_cohort_instrumented(&params, n, sources, adv.as_mut(), &mut rng, config);
+            assert_eq!(stats.tracked_nodes, n, "{}", entry.name);
+            assert_eq!(stats.max_live_cohorts, 0, "{}", entry.name);
+            if matches!(spec.workload, Workload::Broadcast(_)) && spec.faults.is_none() {
+                let via_spec = spec.run_trial(0, SeedSequence::new(spec.seeds.master).child(0));
+                assert_eq!(via_spec.unwrap().into_broadcast(), out, "{}", entry.name);
+            }
+            checked += 1;
+        }
+        assert_eq!(
+            checked, 5,
+            "bcast_n{{8,64,256}}_jammed, bcast_n64_faulted, stream_n8"
+        );
+
+        // One node past the threshold the population is compressed.
+        let mut rng = RcbRng::new(1);
+        let (_, stats) = run_cohort_instrumented(
+            &OneToNParams::practical(),
+            threshold + 1,
+            &[0],
+            &mut NoJamRep,
+            &mut rng,
+            CohortConfig::default(),
+        );
+        assert!(stats.tracked_nodes < threshold + 1 && stats.max_live_cohorts > 0);
+    }
+
+    #[test]
     fn fast_duel_spec_runs_the_duel_session() {
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8)).with_adversary(
             AdversarySpec::Budgeted {
@@ -1904,7 +1974,9 @@ mod tests {
         };
         let params = OneToNParams::practical();
         for seed in 0..3 {
-            let spec = ScenarioSpec::broadcast(12).with_adversary(jammed);
+            let spec = ScenarioSpec::broadcast(12)
+                .with_engine(Engine::Fast)
+                .with_adversary(jammed);
             let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
             let config = FastConfig::default();
             let (direct, _) =
@@ -1916,9 +1988,9 @@ mod tests {
                 "seed {seed}"
             );
 
-            let spec = ScenarioSpec::broadcast(24)
-                .with_engine(Engine::CohortFast)
-                .with_adversary(jammed);
+            // The default broadcast engine.
+            let spec = ScenarioSpec::broadcast(24).with_adversary(jammed);
+            assert_eq!(spec.engine, Engine::CohortFast);
             let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
             let config = CohortConfig::default();
             let (direct, _) =
@@ -2053,22 +2125,48 @@ mod tests {
             let spec = ScenarioSpec::duel(DuelProtocol::fig1(epsilon, 8));
             assert!(spec.validate().is_err(), "epsilon {epsilon}");
         }
-        let set: [fn(&mut OneToNParams, f64); 3] =
-            [|p, v| p.b = v, |p, v| p.d = v, |p, v| p.s_init = v];
-        for (field, set) in ["b", "d", "s_init"].iter().zip(set) {
-            for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-                let mut broadcast = ScenarioSpec::broadcast(4);
-                let mut stream =
-                    ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate: 0.001 }, 1_000);
-                for spec in [&mut broadcast, &mut stream] {
-                    match &mut spec.workload {
-                        Workload::Broadcast(w) => set(&mut w.params, v),
-                        Workload::Stream(w) => set(&mut w.params, v),
-                        Workload::Duel(_) => unreachable!(),
-                    }
+        type Setter = fn(&mut OneToNParams, f64);
+        let setters: [(&str, Setter); 6] = [
+            ("b", |p, v| p.b = v),
+            ("d", |p, v| p.d = v),
+            ("s_init", |p, v| p.s_init = v),
+            ("helper_frac", |p, v| p.helper_frac = v),
+            ("term_factor", |p, v| p.term_factor = v),
+            ("safety_factor", |p, v| p.safety_factor = v),
+        ];
+        let broadcast_and_stream = || {
+            [
+                ScenarioSpec::broadcast(4),
+                ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate: 0.001 }, 1_000),
+            ]
+        };
+        fn workload_mut(spec: &mut ScenarioSpec) -> (&mut OneToNParams, &mut u32) {
+            match &mut spec.workload {
+                Workload::Broadcast(w) => (&mut w.params, &mut w.max_epoch),
+                Workload::Stream(w) => (&mut w.params, &mut w.max_epoch),
+                Workload::Duel(_) => unreachable!(),
+            }
+        }
+        for (field, set) in setters {
+            for v in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for mut spec in broadcast_and_stream() {
+                    set(workload_mut(&mut spec).0, v);
                     assert!(spec.validate().is_err(), "{field} = {v}: {}", spec.workload);
                 }
             }
+        }
+        for mut spec in broadcast_and_stream() {
+            let (params, max_epoch) = workload_mut(&mut spec);
+            params.first_epoch = *max_epoch;
+            assert!(
+                spec.validate().is_ok(),
+                "first_epoch = max_epoch runs one epoch"
+            );
+            workload_mut(&mut spec).0.first_epoch += 1;
+            assert!(spec.validate().is_err(), "first_epoch > max_epoch");
+            let (params, max_epoch) = workload_mut(&mut spec);
+            *max_epoch = params.first_epoch;
+            assert!(spec.validate().is_ok(), "raising the cap re-admits it");
         }
         for entry in registry() {
             assert!(entry.spec.validate().is_ok(), "{}", entry.name);
@@ -2092,7 +2190,14 @@ mod tests {
             ScenarioSpec::duel(DuelProtocol::ksy()).engine_label(),
             "duel-fast"
         );
-        assert_eq!(ScenarioSpec::broadcast(4).engine_label(), "broadcast-fast");
+        assert_eq!(
+            ScenarioSpec::broadcast(4).engine_label(),
+            "broadcast-cohort"
+        );
+        assert_eq!(
+            ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate: 0.001 }, 1_000).engine_label(),
+            "broadcast-cohort"
+        );
         assert_eq!(
             ScenarioSpec::broadcast(4)
                 .with_engine(Engine::Exact)
@@ -2101,9 +2206,9 @@ mod tests {
         );
         assert_eq!(
             ScenarioSpec::broadcast(4)
-                .with_engine(Engine::CohortFast)
+                .with_engine(Engine::Fast)
                 .engine_label(),
-            "broadcast-cohort"
+            "broadcast-fast"
         );
     }
 

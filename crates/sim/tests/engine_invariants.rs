@@ -6,9 +6,9 @@ use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::{run_trials, Parallelism};
@@ -21,10 +21,11 @@ fn duel(profile: Fig1Profile, adversary: &mut dyn RepetitionAdversary, seed: u64
         .0
 }
 
-/// One clean practical-parameter broadcast from node 0 at `seed`.
+/// One clean practical-parameter broadcast from node 0 at `seed`, on the
+/// default broadcast engine.
 fn broadcast(n: usize, adversary: &mut dyn RepetitionAdversary, seed: u64) -> BroadcastOutcome {
-    let (params, config) = (OneToNParams::practical(), FastConfig::default());
-    BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
+    let (params, config) = (OneToNParams::practical(), CohortConfig::default());
+    CohortSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
         .run(adversary, &Deadline::NONE)
         .0
 }
@@ -152,7 +153,7 @@ fn duel_engine_matches_closed_form_prediction() {
 #[test]
 fn unjammed_broadcast_latency_matches_schedule_estimate() {
     // The predict module's unjammed-latency estimate (slots through the
-    // ideal epoch) and the fast engine must agree within epoch
+    // ideal epoch) and the broadcast engine must agree within epoch
     // granularity: one epoch of slack either way.
     use rcb_core::one_to_n::predict::{estimated_termination_epoch, slots_in_epochs};
     let params = OneToNParams::practical();

@@ -16,9 +16,9 @@ use rcb_channel::Payload;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::session::Session;
 
@@ -80,7 +80,7 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// Invariant 1, fast broadcast engine.
+    /// Invariant 1, default (cohort) broadcast engine.
     #[test]
     fn faulted_broadcast_is_deterministic_under_seed_replay(
         seed in any::<u64>(),
@@ -96,7 +96,7 @@ proptest! {
         );
         let params = OneToNParams::practical();
         let run = || {
-            BroadcastSession::new(params, 6, vec![0], FastConfig::default(), plan, seed)
+            CohortSession::new(params, 6, vec![0], CohortConfig::default(), plan, seed)
                 .run(&mut NoJamRep, &Deadline::NONE)
         };
         let (a, _) = run();

@@ -16,7 +16,9 @@
 //! retired, when this suite still replayed each spec through a hand-built
 //! legacy harness; any drift in an engine, the trial dispatch, or the seed
 //! derivation fails here. A deliberate change re-baselines the tables
-//! once, from the table the failure message prints.
+//! once, from the table the failure message prints. The four `bcast_n*`
+//! entries below n = 65,536 were re-baselined once when the broadcast
+//! default moved from the fast engine to the cohort engine.
 //!
 //! Alongside the checksums, every trial's typed error must agree with the
 //! outcome's own truncation flag: a surfaced engine cap adds information
@@ -101,6 +103,8 @@ const BROADCAST_GRID: &[(&str, u64)] = &[
     ("broadcast cell 6 CohortFast", 0xfbd0d3e3b25a2eb4),
     ("broadcast cell 7 Fast", 0x53b19cf73f79db5f),
     ("broadcast cell 7 CohortFast", 0x100e345bd82b7d10),
+    ("broadcast cell 8 Fast", 0x5841ef72c06410d5),
+    ("broadcast cell 8 CohortFast", 0x6f4aad7a6163b1ad),
 ];
 
 const REGISTRY: &[(&str, u64)] = &[
@@ -108,10 +112,10 @@ const REGISTRY: &[(&str, u64)] = &[
     ("duel_jammed", 0xa38e32ef65af3072),
     ("duel_jammed_faulted", 0xa43de131a14ed53f),
     ("exact_duel_jammed", 0xada95718607f9235),
-    ("bcast_n8_jammed", 0x31c98e3e00b57734),
-    ("bcast_n64_jammed", 0xe10d7c22b4e6b125),
-    ("bcast_n256_jammed", 0x4c8ae33c049cea53),
-    ("bcast_n64_faulted", 0xa31b4f273aa2563d),
+    ("bcast_n8_jammed", 0x57dad2c822512ab7),
+    ("bcast_n64_jammed", 0x93bafbbe82a3967f),
+    ("bcast_n256_jammed", 0x57baaa00f788ad94),
+    ("bcast_n64_faulted", 0xf88a6024e1392ced),
     ("bcast_n65536", 0x135c37985676283b),
 ];
 

@@ -42,7 +42,7 @@
 //! use rcb::prelude::*;
 //!
 //! // Defaults: practical Figure-2 constants, node 0 informed, no jamming
-//! // (T = 0: the efficiency-function regime).
+//! // (T = 0: the efficiency-function regime), the cohort engine.
 //! let spec = ScenarioSpec::broadcast(32);
 //! let out = spec.run(7).expect("unjammed runs finish early").into_broadcast();
 //! assert!(out.all_informed && out.all_terminated);

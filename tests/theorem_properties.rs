@@ -19,10 +19,11 @@ fn duel<P: DuelProfile>(
         .0
 }
 
-/// One clean practical-parameter broadcast from node 0 at `seed`.
+/// One clean practical-parameter broadcast from node 0 at `seed`, on the
+/// default broadcast engine.
 fn broadcast(n: usize, adversary: &mut dyn RepetitionAdversary, seed: u64) -> BroadcastOutcome {
-    let (params, config) = (OneToNParams::practical(), FastConfig::default());
-    BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
+    let (params, config) = (OneToNParams::practical(), CohortConfig::default());
+    CohortSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
         .run(adversary, &Deadline::NONE)
         .0
 }

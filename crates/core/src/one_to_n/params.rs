@@ -114,7 +114,12 @@ impl OneToNParams {
 
     /// Number of repetitions in epoch `i`: `⌈b·i^rep_pow⌉`.
     pub fn reps(&self, epoch: u32) -> u64 {
-        (self.b * (epoch as f64).powi(self.rep_pow as i32)).ceil() as u64
+        self.reps_f64(epoch) as u64
+    }
+
+    /// `⌈b·i^rep_pow⌉` before [`reps`](Self::reps) saturates it into a u64.
+    fn reps_f64(&self, epoch: u32) -> f64 {
+        (self.b * (epoch as f64).powi(self.rep_pow as i32)).ceil()
     }
 
     /// The listen multiplier `d·i^listen_pow` (paper: `d·i³`).
@@ -172,6 +177,16 @@ impl OneToNParams {
     /// Total slots in epoch `i`: `reps(i)·2^i`.
     pub fn epoch_slots(&self, epoch: u32) -> u64 {
         self.reps(epoch) * self.slots(epoch)
+    }
+
+    /// Total slots in epochs `first..=last`, or `None` if the total or any
+    /// epoch's repetition count does not fit a u64.
+    pub fn checked_slots_in_epochs(&self, first: u32, last: u32) -> Option<u64> {
+        (first..=last).try_fold(0u64, |total, epoch| {
+            // `reps()` saturates at u64::MAX; count that as overflow too.
+            let reps = Some(self.reps_f64(epoch)).filter(|&r| r < u64::MAX as f64)?;
+            total.checked_add((reps as u64).checked_mul(self.slots(epoch))?)
+        })
     }
 
     /// The "ideal" epoch for a system of `n` nodes: the `i` with
@@ -282,6 +297,25 @@ mod tests {
     fn epoch_slots_product() {
         let p = OneToNParams::practical();
         assert_eq!(p.epoch_slots(6), p.reps(6) * 64);
+    }
+
+    #[test]
+    fn checked_slots_in_epochs_sums_or_reports_overflow() {
+        let p = OneToNParams::practical();
+        let sum: u64 = (5..=40).map(|i| p.epoch_slots(i)).sum();
+        assert_eq!(p.checked_slots_in_epochs(5, 40), Some(sum));
+        // ⌈3·i⌉ repetitions of 2^i slots fill a u64 just past epoch 55.
+        assert!(p.checked_slots_in_epochs(5, 55).is_some());
+        assert_eq!(p.checked_slots_in_epochs(5, 56), None);
+        // A repetition count past u64::MAX is an overflow even where the
+        // saturated count times 2^0 slots would still fit.
+        let huge = OneToNParams {
+            b: 1e30,
+            rep_pow: 0,
+            ..p
+        };
+        assert_eq!(huge.reps(0), u64::MAX);
+        assert_eq!(huge.checked_slots_in_epochs(0, 0), None);
     }
 
     #[test]
